@@ -44,7 +44,6 @@ from repro.errors import (
     VaultError,
 )
 from repro.obs import (
-    MetricsView,
     PlanReport,
     Registry,
     Span,
@@ -164,7 +163,6 @@ __all__ = [
     "load_database",
     # observability
     "Registry",
-    "MetricsView",
     "PlanReport",
     "Span",
     "Tracer",

@@ -272,11 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument(
         "--json", action="store_true", help="machine-readable JSON output"
     )
-    p_metrics.add_argument(
-        "--legacy",
-        action="store_true",
-        help="also include the deprecated pre-registry key names",
-    )
 
     p_shards = sub.add_parser(
         "shards",
@@ -684,7 +679,7 @@ def _serve_sharded(args) -> int:
     _checkpoint_sharded(args, sdb, generation)
     group.close()
     sdb.close()
-    print(json.dumps(service.metrics().legacy(), indent=2, sort_keys=True))
+    print(json.dumps(service.metrics(), indent=2, sort_keys=True))
     if not drained:
         print("warning: drain timed out with jobs still queued", file=sys.stderr)
         return 1
@@ -720,9 +715,7 @@ def cmd_serve(args) -> int:
             handle.close()
         raise
     _finish_write(args, engine.db, handle)
-    # Both schemas in one report: new dotted registry names plus the
-    # legacy keys old consumers parse (MetricsView.legacy merges them).
-    print(json.dumps(service.metrics().legacy(), indent=2, sort_keys=True))
+    print(json.dumps(service.metrics(), indent=2, sort_keys=True))
     if not drained:
         print("warning: drain timed out with jobs still queued", file=sys.stderr)
         return 1
@@ -775,8 +768,7 @@ def cmd_jobs(args) -> int:
 
 def cmd_metrics(args) -> int:
     db = _read_db(args, verify=False)
-    view = db.metrics()
-    data = view.legacy() if args.legacy else dict(view)
+    data = db.metrics()
     if args.json:
         print(json.dumps(data, indent=2, sort_keys=True, default=str))
         return 0

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping
 
-import networkx as nx
-
 from repro.core.history import DisguiseHistory
 from repro.core.physical import OpExecutor, PlaceholderFactory, VaultJournal
 from repro.core.stats import DisguiseReport
@@ -402,9 +400,8 @@ class SpecRunner:
     def _removal_order(self) -> list[TableDisguise]:
         """Spec tables with Remove ops, children before parents.
 
-        Built from the schema's FK graph (edges child -> parent); a
-        topological order of that graph visits children first. Cycles
-        (self-references) fall back to spec order for the affected tables.
+        Sorted by descending rank in the schema's topological order;
+        tables on an FK cycle share a rank and keep their spec order.
         """
         removing = [
             table_disguise
@@ -413,19 +410,9 @@ class SpecRunner:
         ]
         if len(removing) <= 1:
             return removing
-        graph = self.executor.schema.fk_graph()
-        # Self-references (comment threads) and mutual FK cycles cannot
-        # constrain a linear order; collapse them via condensation.
-        graph.remove_edges_from(list(nx.selfloop_edges(graph)))
-        try:
-            order = {name: i for i, name in enumerate(nx.topological_sort(graph))}
-        except nx.NetworkXUnfeasible:
-            condensed = nx.condensation(graph)
-            order = {}
-            for i, component in enumerate(nx.topological_sort(condensed)):
-                for name in condensed.nodes[component]["members"]:
-                    order[name] = i
-        return sorted(removing, key=lambda td: order.get(td.table, len(order)))
+        rank = self.executor.schema.topological_order()
+        # A table the schema lacks sorts last; its Remove then raises.
+        return sorted(removing, key=lambda td: -rank.get(td.table, 0))
 
 
 def _proxy_td(table_disguise: TableDisguise, table: str) -> TableDisguise:

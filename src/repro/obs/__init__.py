@@ -8,7 +8,7 @@ One public surface for everything the engine can tell you about itself:
   :class:`~repro.storage.database.Database` owns one as ``db.obs``;
   subsystems attached to the database register into it, and
   ``Database.metrics()`` / ``DisguiseService.metrics()`` return
-  :class:`MetricsView` snapshots of it.
+  snapshots of it.
 * :func:`span` / :func:`traced` / :data:`TRACER` — trace spans with
   parent/child nesting through the hot path (apply → op → statement →
   WAL append/fsync → vault encrypt/put), exportable as a rendered tree
@@ -17,13 +17,9 @@ One public surface for everything the engine can tell you about itself:
   budget that logs the span tree of any statement or disguise over it.
 * :class:`PlanReport` — the typed report ``Database.explain`` returns,
   including actual row counts and per-node timings with ``analyze=True``.
-
-The legacy surfaces (``Database.stats``, the old ``Server.metrics()``
-keys) keep working through deprecation shims that resolve via the
-registry and emit :class:`DeprecationWarning`.
 """
 
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsView, Registry
+from repro.obs.registry import Counter, Gauge, Histogram, Registry
 from repro.obs.report import PlanNode, PlanReport
 from repro.obs.trace import (
     NULL_SPAN,
@@ -43,7 +39,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "MetricsView",
     "Registry",
     "PlanNode",
     "PlanReport",

@@ -27,14 +27,12 @@ no-ops after a single attribute check — near-zero cost.
 from __future__ import annotations
 
 import threading
-import warnings
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "MetricsView",
     "Registry",
 ]
 
@@ -159,59 +157,6 @@ class Histogram:
         }
 
 
-class MetricsView(dict):
-    """A snapshot of registry values, with deprecated legacy-key access.
-
-    Iteration, ``keys()``, and JSON serialization expose only the new
-    dotted names. Indexing with a **legacy** key (an old ad-hoc dict key
-    like ``jobs_done`` or a ``QueryStats`` field like ``selects``) still
-    resolves — through the registry value it now aliases — but emits a
-    :class:`DeprecationWarning` naming the replacement.
-    """
-
-    def __init__(
-        self,
-        data: Mapping[str, Any],
-        aliases: Mapping[str, str] | None = None,
-    ) -> None:
-        super().__init__(data)
-        self._aliases = dict(aliases or {})
-
-    def __getitem__(self, key: str) -> Any:
-        try:
-            return super().__getitem__(key)
-        except KeyError:
-            if key in self._aliases:
-                target = self._aliases[key]
-                warnings.warn(
-                    f"metrics key {key!r} is deprecated; read {target!r} "
-                    f"from the registry view instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                # Legacy dicts surfaced None for absent subsystems (e.g.
-                # wal_syncs with no WAL attached); preserve that.
-                return super().get(target)
-            raise
-
-    def get(self, key: str, default: Any = None) -> Any:
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def legacy(self) -> dict[str, Any]:
-        """New-name snapshot merged with its legacy aliases (no warning).
-
-        For serialization boundaries that old consumers parse — the CLI's
-        ``serve`` report keeps both schemas in its JSON via this.
-        """
-        merged = dict(self)
-        for old, new in self._aliases.items():
-            merged[old] = super().get(new)
-        return merged
-
-
 class Registry:
     """A named collection of :class:`Counter` / :class:`Gauge` /
     :class:`Histogram` instruments.
@@ -226,7 +171,6 @@ class Registry:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._metrics: dict[str, Any] = {}
-        self._aliases: dict[str, str] = {}
         self._mu = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------------
@@ -273,18 +217,6 @@ class Registry:
         with self._mu:
             self._metrics.pop(name, None)
 
-    def register_aliases(self, aliases: Mapping[str, str]) -> None:
-        """Record legacy-name aliases with the registry itself.
-
-        Subsystems call this when they register their gauges, so every
-        view taken afterwards — including ``metrics --legacy`` with no
-        server running — resolves the aliases regardless of which caller
-        materialized the view first (previously a view only knew the
-        aliases its own call site passed in).
-        """
-        with self._mu:
-            self._aliases.update(aliases)
-
     # -- reading -----------------------------------------------------------------
 
     def get(self, name: str) -> Any:
@@ -314,34 +246,6 @@ class Registry:
             else:
                 out[name] = value
         return out
-
-    def view(
-        self,
-        prefix: str | Iterable[str] | None = None,
-        aliases: Mapping[str, str] | None = None,
-    ) -> MetricsView:
-        """A :class:`MetricsView` snapshot (optionally prefix-filtered).
-
-        Aliases registered on the registry (``register_aliases``) are
-        merged with any call-site *aliases*; the call site wins on
-        conflict. A prefix-restricted view only carries aliases whose
-        target falls under the prefix — the service view should not grow
-        ``statements: null`` because the *database* registered a
-        ``storage.*`` alias — while an in-prefix alias with no live
-        instrument still resolves to ``None`` (the legacy dicts surfaced
-        ``wal_syncs: None`` when no WAL was attached).
-        """
-        with self._mu:
-            merged = dict(self._aliases)
-        if aliases:
-            merged.update(aliases)
-        if prefix is not None:
-            merged = {
-                old: new
-                for old, new in merged.items()
-                if _match_prefix(new, prefix)
-            }
-        return MetricsView(self.snapshot(prefix), merged)
 
 
 def _match_prefix(name: str, prefix: str | Iterable[str] | None) -> bool:

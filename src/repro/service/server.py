@@ -175,27 +175,6 @@ class DisguiseService:
                 raise ServiceError(f"timed out waiting for job {job_id}")
             self._clock.sleep(0.01)
 
-    #: Old hand-built ``metrics()`` keys -> registry names. Indexing the
-    #: view with an old key still works (DeprecationWarning); the CLI's
-    #: serve report keeps both schemas via ``MetricsView.legacy()``.
-    _METRIC_ALIASES = {
-        "workers": "service.workers",
-        "jobs_done": "service.jobs_done",
-        "jobs_failed": "service.jobs_failed",
-        "jobs_dead": "service.jobs_dead",
-        "jobs_per_s": "service.jobs_per_s",
-        "queue_depth": "service.queue_depth",
-        "queue_counts": "service.queue_counts",
-        "lock_acquisitions": "service.lock_acquisitions",
-        "lock_waits": "service.lock_waits",
-        "lock_wait_time_s": "service.lock_wait_s",
-        "deadlocks": "service.deadlocks",
-        "lock_timeouts": "service.lock_timeouts",
-        "p50_latency_s": "service.job_p50_s",
-        "p99_latency_s": "service.job_p99_s",
-        "wal_syncs": "wal.fsyncs",
-    }
-
     def _register_metrics(self, registry: Any) -> None:
         """Register ``service.*`` gauges over the pool/queue/lock state."""
         pool = self.pool
@@ -232,20 +211,14 @@ class DisguiseService:
             "service.job_p99_s",
             lambda: round(pool.latency.percentiles(99.0)[99.0], 6),
         )
-        registry.register_aliases(self._METRIC_ALIASES)
 
-    def metrics(self) -> Any:
+    def metrics(self) -> dict[str, Any]:
         """Service metrics snapshot: throughput, depth, waits, latency.
 
-        Returns a :class:`repro.obs.MetricsView` over the database's
-        registry, restricted to ``service.*`` and ``wal.*``. The old keys
-        (``jobs_done``, ``p99_latency_s``, ``wal_syncs``, ...) still index
-        into it via deprecation aliases.
+        The database's registry restricted to ``service.*`` and ``wal.*``.
         """
         if not self._started:
             # The gauges register at start(); a pre-start snapshot would
             # silently be empty, which no caller means to ask for.
             self._register_metrics(self.engine.db.obs)
-        return self.engine.db.obs.view(
-            prefix=("service", "wal"), aliases=self._METRIC_ALIASES
-        )
+        return self.engine.db.obs.snapshot(("service", "wal"))

@@ -42,7 +42,7 @@ from repro.errors import (
     ShardError,
     TransactionError,
 )
-from repro.obs.registry import MetricsView, Registry
+from repro.obs.registry import Registry
 from repro.storage.database import Database, QueryStats
 from repro.storage.predicate import Predicate, SetClause
 from repro.storage.schema import FKAction, Schema, TableSchema
@@ -1134,8 +1134,6 @@ class ShardedDatabase:
 
     # -- observability -----------------------------------------------------------
 
-    _METRIC_ALIASES = dict(Database._METRIC_ALIASES)
-
     def _register_obs(self) -> None:
         reg = self.obs
         for name in ("selects", "inserts", "updates", "deletes", "statements"):
@@ -1180,10 +1178,9 @@ class ShardedDatabase:
             reg.gauge(
                 f"shard.s{index}.statements", lambda s=shard: s.stats.statements
             )
-        reg.register_aliases(self._METRIC_ALIASES)
 
-    def metrics(self) -> MetricsView:
-        return self.obs.view()
+    def metrics(self) -> dict[str, Any]:
+        return self.obs.snapshot()
 
 
 class _ShardedTransaction:
@@ -1245,7 +1242,8 @@ def shard_database(
     # Copy rows, parents before children so indirect placement can look
     # up where each parent row landed.
     placed: dict[str, dict[Any, int]] = {}
-    for ts in _topo_tables(source_schema):
+    rank = source_schema.topological_order()
+    for ts in sorted(source_schema, key=lambda ts: rank[ts.name]):
         placement = router.placement(ts.name)
         rows = [dict(row) for row in db.table(ts.name).rows()]
         if placement.kind == GLOBAL:
@@ -1275,38 +1273,14 @@ def shard_database(
     return sdb
 
 
-def _topo_tables(schema: Schema) -> list[TableSchema]:
-    """Tables ordered parents-first (self-FKs and cycles break arbitrarily)."""
-    remaining = {ts.name: ts for ts in schema}
-    ordered: list[TableSchema] = []
-    done: set[str] = set()
-    while remaining:
-        progressed = False
-        for name in list(remaining):
-            ts = remaining[name]
-            parents = {
-                fk.parent_table
-                for fk in ts.foreign_keys
-                if fk.parent_table != name and fk.parent_table in remaining
-            }
-            if not parents:
-                ordered.append(ts)
-                done.add(name)
-                del remaining[name]
-                progressed = True
-        if not progressed:  # FK cycle: emit the rest in declaration order
-            ordered.extend(remaining.values())
-            break
-    return ordered
-
-
 def collapse(sdb: ShardedDatabase) -> Database:
     """Fold a sharded database back into one monolithic :class:`Database`."""
     schema = Schema()
     for ts in sdb.schema:
         schema.add(ts)
     merged = Database(schema)
-    for ts in _topo_tables(sdb.schema):
+    rank = sdb.schema.topological_order()
+    for ts in sorted(sdb.schema, key=lambda ts: rank[ts.name]):
         rows = [dict(row) for row in sdb.table(ts.name).rows()]
         if rows:
             merged.table(ts.name).insert_rows(rows)

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import functools
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.obs.registry import MetricsView, Registry
+from repro.obs.registry import Registry
 from repro.obs.report import PlanReport
 from repro.obs.trace import TRACER as _TRACER
 from repro.errors import (
@@ -97,35 +96,6 @@ class QueryStats:
         self.updates += other.updates
         self.deletes += other.deletes
         self.statements += other.statements
-
-    # -- deprecated dict-shaped access (see repro.obs) ---------------------------
-
-    _FIELDS = ("selects", "inserts", "updates", "deletes", "statements",
-               "total", "writes")
-
-    def __getitem__(self, key: str) -> int:
-        """Deprecated: read ``db.metrics()["storage.<name>"]`` instead.
-
-        The old ad-hoc surface treated stats as a dict in places; keyed
-        access still resolves (through the same counters the registry's
-        ``storage.*`` gauges read) but warns.
-        """
-        if key not in self._FIELDS:
-            raise KeyError(key)
-        warnings.warn(
-            f"QueryStats[{key!r}] is deprecated; use the attribute or read "
-            f"'storage.{key}' from Database.metrics()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(self, key)
-
-    def keys(self) -> tuple[str, ...]:
-        return self._FIELDS
-
-    def as_dict(self) -> dict[str, int]:
-        """Counters as a plain dict (bare names, no ``storage.`` prefix)."""
-        return {name: getattr(self, name) for name in self._FIELDS}
 
 
 # One undo-log record: a closure that reverses a single physical change.
@@ -243,31 +213,15 @@ class Database:
         reg.gauge("plancache.misses", lambda: self.plans.misses)
         reg.gauge("plancache.entries", lambda: len(self.plans))
         reg.gauge("plancache.generation", lambda: self.plans.generation)
-        reg.register_aliases(self._METRIC_ALIASES)
 
-    # Legacy key -> registry name, for the deprecation shim in metrics().
-    _METRIC_ALIASES = {
-        "selects": "storage.selects",
-        "inserts": "storage.inserts",
-        "updates": "storage.updates",
-        "deletes": "storage.deletes",
-        "statements": "storage.statements",
-        "total": "storage.total",
-        "writes": "storage.writes",
-        "rows_examined": "storage.rows_examined",
-        "plan_hits": "plancache.hits",
-        "plan_misses": "plancache.misses",
-    }
-
-    def metrics(self) -> MetricsView:
-        """A registry-view snapshot of every metric this database knows.
+    def metrics(self) -> dict[str, Any]:
+        """A registry snapshot of every metric this database knows.
 
         Keys are the stable dotted names (``storage.*``, ``plancache.*``,
         plus ``wal.*`` / ``vault.*`` / ``service.*`` once those subsystems
-        attach). Old ``QueryStats``-shaped keys (``selects``, ...) still
-        resolve, with a :class:`DeprecationWarning`.
+        attach).
         """
-        return self.obs.view(aliases=self._METRIC_ALIASES)
+        return self.obs.snapshot()
 
     def _traced_statement(self, fn, span_name, hook, table, kind, args, kwargs):
         """Statement body bracketed by a trace span (tracing enabled only).

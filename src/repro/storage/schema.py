@@ -226,23 +226,85 @@ class Schema:
                     refs.append((table, fk))
         return refs
 
-    def fk_graph(self):
-        """The foreign-key graph as a ``networkx.DiGraph``.
+    def topological_order(self) -> dict[str, int]:
+        """Rank tables so each ranks above every table it references.
 
-        Nodes are table names; an edge child -> parent exists for each
-        foreign key. Used by the disguise analyzer to find all tables
-        transitively reachable from a user table.
+        Sorting tables by rank visits parents first; by descending rank,
+        children first. Kahn's algorithm over the foreign-key graph,
+        peeling childless tables in declaration order (so the order among
+        unrelated tables is stable). Self-references are ignored. Tables
+        on an FK cycle cannot be ordered against each other and share one
+        rank — a stable sort then keeps the caller's own order among them.
         """
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        for table in self:
-            graph.add_node(table.name)
-        for table in self:
-            for fk in table.foreign_keys:
-                graph.add_edge(table.name, fk.parent_table, column=fk.column)
-        return graph
+        parents = {
+            table.name: [
+                parent
+                for parent in dict.fromkeys(fk.parent_table for fk in table.foreign_keys)
+                if parent != table.name and parent in self._tables
+            ]
+            for table in self
+        }
+        children_left = dict.fromkeys(parents, 0)
+        for names in parents.values():
+            for parent in names:
+                children_left[parent] += 1
+        ready = [name for name, count in children_left.items() if count == 0]
+        peeled: list[list[str]] = []  # children first; one list per rank
+        while children_left:
+            if ready:
+                peeled.extend([name] for name in ready)
+            else:
+                ready = _unreferenced_cycle(parents, children_left)
+                peeled.append(ready)
+            for name in ready:
+                del children_left[name]
+            unblocked = []
+            for name in ready:
+                for parent in parents[name]:
+                    if parent in children_left:
+                        children_left[parent] -= 1
+                        if children_left[parent] == 0:
+                            unblocked.append(parent)
+            ready = unblocked
+        return {
+            name: len(peeled) - position
+            for position, names in enumerate(peeled)
+            for name in names
+        }
 
     def object_type_count(self) -> int:
         """Number of object types (tables) — the Figure 4 '#Object Types' column."""
         return len(self)
+
+
+def _unreferenced_cycle(
+    parents: dict[str, list[str]], left: dict[str, int]
+) -> list[str]:
+    """An FK cycle among *left* that no other table in *left* references.
+
+    Called when every table in *left* still has a child in *left*, so one
+    exists: the tables left are cycles and what they reference, and the
+    cycles themselves form no cycle.
+    """
+
+    def reachable(start: str) -> set[str]:
+        seen: set[str] = set()
+        stack = [start]
+        while stack:
+            for parent in parents[stack.pop()]:
+                if parent in left and parent not in seen:
+                    seen.add(parent)
+                    stack.append(parent)
+        return seen
+
+    reach = {name: reachable(name) for name in left}
+    for name in left:
+        cycle = {other for other in reach[name] if name in reach[other]}
+        if cycle and not any(
+            parent in cycle
+            for other in left
+            if other not in cycle
+            for parent in parents[other]
+        ):
+            return [other for other in left if other in cycle]
+    raise AssertionError("no foreign-key cycle among tables that all have children")

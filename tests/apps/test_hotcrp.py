@@ -17,6 +17,8 @@ from repro.apps.hotcrp import (
     user_footprint,
 )
 
+from tests.conftest import make_mini_hotcrp
+
 PC_MEMBER = 3  # a PC member in the mini fixture (reviews, prefs, comments)
 
 
@@ -162,6 +164,26 @@ class TestGdprPlus:
         assert user_footprint(db, PC_MEMBER) == footprint_before
         assert check_invariants(db) == []
 
+    def test_same_outcome_without_fk_indexes(self):
+        """FK indexes keep a per-user disguise proportional to its own rows;
+        without them every predicate scans, to the same logical outcome."""
+        outcomes = []
+        for indexed in (True, False):
+            db, engine = make_mini_hotcrp()
+            tables = [db.table(name) for name in db.table_names]
+            if not indexed:
+                for table in tables:
+                    for fk in table.schema.foreign_keys:
+                        table.drop_index(fk.column)
+            before = sum(table.rows_examined for table in tables)
+            report = engine.apply("HotCRP-GDPR+", uid=PC_MEMBER, check_integrity=True)
+            examined = sum(table.rows_examined for table in tables) - before
+            outcomes.append((report.rows_touched, report.db_stats.total, examined))
+        (touched, total, probed), (touched_scan, total_scan, scanned) = outcomes
+        assert touched == touched_scan > 0
+        assert total == total_scan
+        assert scanned > 3 * probed
+
 
 class TestGdpr:
     def test_deletes_reviews_outright(self, mini_hotcrp):
@@ -211,3 +233,24 @@ class TestConfAnon:
         reveal = engine.reveal(report.disguise_id, check_integrity=True)
         assert sorted(c["firstName"] for c in db.select("ContactInfo")) == names_before
         assert reveal.fks_restored > 0
+
+    def test_reveal_cost_plain_chained_global(self):
+        """Reveal-side cost in storage operations: unwinding a scrub under a
+        later ConfAnon costs more than a plain reveal (chain work is real),
+        and reversing ConfAnon itself dwarfs both."""
+        _, engine = make_mini_hotcrp()
+        scrub = engine.apply("HotCRP-GDPR+", uid=PC_MEMBER)
+        plain = engine.reveal(scrub.disguise_id)
+
+        _, engine = make_mini_hotcrp()
+        scrub = engine.apply("HotCRP-GDPR+", uid=PC_MEMBER)
+        engine.apply("HotCRP-ConfAnon")
+        chained = engine.reveal(scrub.disguise_id)
+
+        _, engine = make_mini_hotcrp()
+        anon = engine.apply("HotCRP-ConfAnon")
+        global_ = engine.reveal(anon.disguise_id)
+
+        assert min(r.entries_consumed for r in (plain, chained, global_)) > 0
+        assert chained.chain_reapplied + chained.spec_reapplied > 0
+        assert plain.db_stats.total < chained.db_stats.total < global_.db_stats.total

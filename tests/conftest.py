@@ -162,8 +162,7 @@ def blog_anon_spec():
     )
 
 
-@pytest.fixture
-def mini_hotcrp() -> tuple[Database, Disguiser]:
+def make_mini_hotcrp() -> tuple[Database, Disguiser]:
     """A small HotCRP conference with all three disguises registered."""
     db = generate_hotcrp(
         population=HotcrpPopulation(users=40, pc_members=6, papers=30, reviews=90),
@@ -173,3 +172,8 @@ def mini_hotcrp() -> tuple[Database, Disguiser]:
     for spec in all_disguises():
         engine.register(spec)
     return db, engine
+
+
+@pytest.fixture
+def mini_hotcrp() -> tuple[Database, Disguiser]:
+    return make_mini_hotcrp()

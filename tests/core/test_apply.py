@@ -1,13 +1,32 @@
 """Unit tests for disguise application: the three operations, placeholders,
 vault entries, FK safety, and transactionality."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro import Disguiser, DisguiseSpec, Remove, TableDisguise
+from repro import (
+    Decorrelate,
+    Default,
+    Disguiser,
+    DisguiseSpec,
+    FakeName,
+    Modify,
+    Remove,
+    TableDisguise,
+    named_modifier,
+)
+from repro.apps import hotcrp, lobsters
+from repro.core.apply import SpecRunner
 from repro.errors import DisguiseError, ForeignKeyError
 from repro.vault.entry import OP_DECORRELATE, OP_MODIFY, OP_REMOVE
 
-from tests.conftest import blog_anon_spec, blog_delete_spec, blog_scrub_spec
+from tests.conftest import (
+    blog_anon_spec,
+    blog_delete_spec,
+    blog_scrub_spec,
+    make_blog_db,
+)
 
 
 class TestRemove:
@@ -158,6 +177,26 @@ class TestApplyMechanics:
         assert report.vault_stats.writes == report.vault_entries_written
         assert "BlogScrub" in report.summary()
 
+    def test_statement_count_flat_in_rows_touched(self):
+        """Batching: a disguise issues O(1) storage statements however many
+        rows it touches, while the per-row counters scale with them."""
+
+        def scrub_with_extra_posts(n):
+            db = make_blog_db()
+            db.insert_many(
+                "posts",
+                [{"id": 1000 + i, "user_id": 2, "title": f"extra {i}"} for i in range(n)],
+            )
+            before = db.stats.snapshot()
+            report = Disguiser(db).apply(blog_scrub_spec(), uid=2)
+            assert db.check_integrity() == []
+            return report.rows_touched, db.stats.delta(before)
+
+        small_rows, small = scrub_with_extra_posts(10)
+        large_rows, large = scrub_with_extra_posts(1000)
+        assert large_rows > 10 * small_rows and large.total > 10 * small.total
+        assert large.statements == small.statements
+
     def test_history_records_application(self, blog_db):
         engine = Disguiser(blog_db)
         r1 = engine.apply(blog_scrub_spec(), uid=2)
@@ -183,3 +222,95 @@ class TestApplyMechanics:
         engine = Disguiser(blog_db)
         report = engine.apply(blog_anon_spec())
         assert report.uid is None
+
+
+def lobsters_gdpr_rooted() -> DisguiseSpec:
+    """The owner-rooted Lobsters scrub the sharded benchmark workload runs."""
+    null, label = named_modifier("null")
+
+    def remove(table, column="user_id"):
+        return TableDisguise(table, transformations=[Remove(f"{column} = $UID")])
+
+    def decorrelate(table):
+        return TableDisguise(
+            table,
+            transformations=[Decorrelate("user_id = $UID", foreign_key="user_id")],
+        )
+
+    return DisguiseSpec(
+        "Lobsters-GDPR-rooted",
+        [
+            TableDisguise(
+                "users",
+                transformations=[
+                    Modify("id = $UID", column="email", fn=null, label=label),
+                    Modify("id = $UID", column="about", fn=null, label=label),
+                ],
+                generate_placeholder={
+                    "username": FakeName(),
+                    "email": Default(None),
+                    "is_admin": Default(False),
+                    "karma": Default(0),
+                },
+            ),
+            decorrelate("stories"),
+            decorrelate("comments"),
+            remove("votes"),
+            remove("saved_stories"),
+            remove("hidden_stories"),
+            remove("read_ribbons"),
+            remove("messages", "recipient_user_id"),
+        ],
+    )
+
+
+# Phase-B table order for the five shipped specs, captured at a2ced3a (the
+# networkx implementation). The order decides vault-entry sequence numbers
+# and placeholder ids, so a new topological sort must reproduce it exactly.
+PINNED_REMOVAL_ORDER = [
+    (
+        hotcrp.hotcrp_schema,
+        hotcrp.hotcrp_gdpr,
+        ["PaperConflict", "PaperReviewPreference", "PaperReviewRefused",
+         "ReviewRequest", "ReviewRating", "PaperComment", "TopicInterest",
+         "PaperWatch", "Capability", "PaperReview", "ContactInfo"],
+    ),
+    (
+        hotcrp.hotcrp_schema,
+        hotcrp.hotcrp_gdpr_plus,
+        ["PaperConflict", "PaperReviewPreference", "PaperReviewRefused",
+         "ReviewRequest", "TopicInterest", "PaperWatch", "Capability",
+         "ContactInfo"],
+    ),
+    (
+        hotcrp.hotcrp_schema,
+        hotcrp.hotcrp_confanon,
+        ["PaperReviewPreference", "TopicInterest"],
+    ),
+    (
+        lobsters.lobsters_schema,
+        lobsters.lobsters_gdpr,
+        ["votes", "messages", "hats", "hat_requests", "invitations",
+         "mod_notes", "read_ribbons", "saved_stories", "hidden_stories",
+         "suggested_titles", "suggested_taggings", "users"],
+    ),
+    (
+        lobsters.lobsters_schema,
+        lobsters_gdpr_rooted,
+        ["votes", "messages", "read_ribbons", "saved_stories", "hidden_stories"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make_schema, make_spec, expected",
+    PINNED_REMOVAL_ORDER,
+    ids=[make_spec.__name__ for _, make_spec, _ in PINNED_REMOVAL_ORDER],
+)
+def test_removal_order_is_pinned(make_schema, make_spec, expected):
+    runner = SpecRunner(
+        SimpleNamespace(db=None, schema=make_schema()),
+        history=None, journal=None, factory=None, spec=make_spec(),
+        did=0, epoch=0, uid=None, params={}, reversible=True, report=None,
+    )
+    assert [td.table for td in runner._removal_order()] == expected

@@ -310,8 +310,8 @@ class TestCliService:
         out = capsys.readouterr().out
         assert code == 0
         metrics = json.loads(out)
-        assert metrics["jobs_done"] == 2 and metrics["jobs_dead"] == 0
-        assert metrics["queue_depth"] == 0
+        assert metrics["service.jobs_done"] == 2 and metrics["service.jobs_dead"] == 0
+        assert metrics["service.queue_depth"] == 0
 
         code = run("jobs", "--db", db_path, "--state", "done")
         out = capsys.readouterr().out

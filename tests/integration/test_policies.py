@@ -17,6 +17,7 @@ from repro.apps.hotcrp import (
     generate_hotcrp,
     user_activity,
 )
+from repro.core.exposure import measure_exposure
 
 
 @pytest.fixture
@@ -82,11 +83,13 @@ class TestDecayOnHotcrp:
                 activity=lambda database: baseline,
             )
         )
+        exposure = [measure_exposure(db, "ContactInfo").total]
         clock.advance(60_000)
         first = scheduler.tick()
         assert {(a.spec_name, a.uid) for a in first} == {
             ("HotCRP-GDPR+", 2), ("HotCRP-GDPR+", 3),
         }
+        exposure.append(measure_exposure(db, "ContactInfo").total)
         reviews_mid = db.count("PaperReview")
         assert reviews_mid > 0  # stage 1 kept (decorrelated) reviews
         clock.advance(40_000)
@@ -98,3 +101,6 @@ class TestDecayOnHotcrp:
         # previously decorrelated reviews via vault recorrelation
         assert db.count("PaperReview") < reviews_mid
         assert check_invariants(db) == []
+        # What a breach would reveal falls with every decay stage.
+        exposure.append(measure_exposure(db, "ContactInfo").total)
+        assert exposure[0] > exposure[1] > exposure[2]

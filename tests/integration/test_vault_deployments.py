@@ -52,9 +52,12 @@ class TestAcrossDeployments:
         db, engine = engine_with(vault_factory(tmp_path))
         report = engine.apply("HotCRP-GDPR+", uid=2)
         assert db.get("ContactInfo", 2) is None
-        engine.reveal(report.disguise_id, check_integrity=True)
+        reveal = engine.reveal(report.disguise_id, check_integrity=True)
         assert db.get("ContactInfo", 2) is not None
         assert check_invariants(db) == []
+        # Every backend yields the same logical outcome: all that was
+        # vaulted, and nothing else, is consumed by the reveal.
+        assert reveal.entries_consumed == report.vault_entries_written > 0
 
 
 class TestEncryptedDeployment:
@@ -66,8 +69,9 @@ class TestEncryptedDeployment:
         with pytest.raises(VaultError):
             engine.reveal(report.disguise_id)  # reading does
         vault.unlock(2, key)
-        engine.reveal(report.disguise_id, check_integrity=True)
+        reveal = engine.reveal(report.disguise_id, check_integrity=True)
         assert db.get("ContactInfo", 2) is not None
+        assert reveal.entries_consumed == report.vault_entries_written > 0
 
     def test_escrow_recovers_lost_key(self):
         vault = EncryptedVault(MemoryVault())
@@ -78,8 +82,9 @@ class TestEncryptedDeployment:
         vault.lock(2)
         del key  # the user lost it (footnote 1's scenario)
         vault.unlock_via_escrow(2, "app", "third_party")
-        engine.reveal(report.disguise_id, check_integrity=True)
+        reveal = engine.reveal(report.disguise_id, check_integrity=True)
         assert db.get("ContactInfo", 2) is not None
+        assert reveal.entries_consumed == report.vault_entries_written > 0
 
     def test_composition_requires_unlock_under_full_encryption(self):
         """With the user's prior disguise in an encrypted vault, composing a

@@ -2,11 +2,10 @@
 
 import json
 import threading
-import warnings
 
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, MetricsView, Registry
+from repro.obs import Counter, Gauge, Histogram, Registry
 
 
 class TestCounter:
@@ -134,36 +133,4 @@ class TestSnapshotAndView:
     def test_view_is_json_serializable_with_new_names_only(self):
         reg = Registry()
         reg.counter("a.b").inc()
-        view = reg.view(aliases={"old_b": "a.b"})
-        data = json.loads(json.dumps(view))
-        assert data == {"a.b": 1}
-
-    def test_legacy_key_warns_and_resolves(self):
-        reg = Registry()
-        reg.counter("a.b").inc(5)
-        view = reg.view(aliases={"old_b": "a.b"})
-        with pytest.warns(DeprecationWarning, match="old_b"):
-            assert view["old_b"] == 5
-        # New name resolves silently.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert view["a.b"] == 5
-
-    def test_legacy_alias_to_absent_metric_reads_none(self):
-        view = MetricsView({}, aliases={"wal_syncs": "wal.fsyncs"})
-        with pytest.warns(DeprecationWarning):
-            assert view["wal_syncs"] is None
-
-    def test_unknown_key_still_raises(self):
-        view = MetricsView({"a": 1}, aliases={})
-        with pytest.raises(KeyError):
-            view["nope"]
-
-    def test_legacy_merges_both_schemas_without_warning(self):
-        reg = Registry()
-        reg.counter("a.b").inc(2)
-        view = reg.view(aliases={"old_b": "a.b"})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            merged = view.legacy()
-        assert merged == {"a.b": 2, "old_b": 2}
+        assert json.loads(json.dumps(reg.snapshot())) == {"a.b": 1}

@@ -1,13 +1,11 @@
-"""The redesigned surfaces: every legacy metrics dict resolves through the
+"""The redesigned surfaces: every subsystem's counters read through the
 registry, and a real disguise traces down to the WAL and vault leaves."""
-
-import warnings
 
 import pytest
 
 from repro.apps.lobsters import LobstersPopulation, generate_lobsters, lobsters_gdpr
 from repro.core.engine import Disguiser
-from repro.obs import MetricsView, disable_tracing, enable_tracing, TRACER
+from repro.obs import disable_tracing, enable_tracing, TRACER
 from repro.service.server import DisguiseService
 from repro.storage.persist import save_database
 from repro.storage.wal import open_in_place
@@ -24,26 +22,14 @@ def _tracer_off():
 
 
 class TestLegacySurfacesResolveThroughRegistry:
-    def test_database_stats_item_access_warns_but_matches(self):
-        db = make_blog_db()
-        db.select("users")
-        with pytest.warns(DeprecationWarning, match="storage.selects"):
-            assert db.stats["selects"] == db.stats.selects
-        with pytest.raises(KeyError):
-            db.stats["not_a_field"]
-        assert db.stats.as_dict()["selects"] == db.stats.selects
-
     def test_database_metrics_view_carries_storage_and_plancache(self):
         db = make_blog_db()
         db.select("users")
         view = db.metrics()
-        assert isinstance(view, MetricsView)
         assert view["storage.selects"] == db.stats.selects
         assert view["storage.rows"] == db.total_rows()
         assert view["plancache.hits"] == db.plans.hits
         assert view["plancache.misses"] == db.plans.misses
-        with pytest.warns(DeprecationWarning):
-            assert view["selects"] == db.stats.selects
 
     def test_wal_counters_surface_as_wal_gauges(self, tmp_path):
         snapshot = tmp_path / "app.jsonl"
@@ -78,17 +64,11 @@ class TestLegacySurfacesResolveThroughRegistry:
         )
         with service:
             metrics = service.metrics()
-        assert isinstance(metrics, MetricsView)
         assert metrics["service.workers"] == 2
         assert metrics["service.queue_depth"] == 0
         assert metrics["service.lock_wait_s"] >= 0.0
-        # Old keys warn but resolve to the same registry values.
-        with pytest.warns(DeprecationWarning):
-            assert metrics["workers"] == metrics["service.workers"]
-        with pytest.warns(DeprecationWarning):
-            assert metrics["wal_syncs"] is None  # no WAL attached
-        merged = metrics.legacy()
-        assert merged["jobs_done"] == merged["service.jobs_done"]
+        # Only service.* and wal.* (no WAL attached here): no storage keys.
+        assert all(name.startswith("service.") for name in metrics)
 
     def test_statement_latency_histogram_records_under_tracing(self):
         db = make_blog_db()

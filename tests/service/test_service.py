@@ -76,8 +76,8 @@ class TestServiceBasics:
         assert described["state"] == "dead"
         assert described["attempts"] == 2
         metrics = service.metrics()
-        assert metrics["jobs_dead"] == 1
-        assert metrics["jobs_failed"] == 2
+        assert metrics["service.jobs_dead"] == 1
+        assert metrics["service.jobs_failed"] == 2
 
     def test_shutdown_detaches_hook_and_leaves_engine_usable(self, tmp_path):
         service = blog_service(tmp_path)
@@ -93,12 +93,12 @@ class TestServiceBasics:
             service.submit_apply("BlogScrub", uid=2)
             assert service.drain(timeout=30.0)
         metrics = service.metrics()
-        assert metrics["workers"] == 2
-        assert metrics["jobs_done"] == 1
-        assert metrics["jobs_per_s"] > 0
-        assert metrics["queue_depth"] == 0
-        assert metrics["lock_acquisitions"] > 0
-        assert metrics["p99_latency_s"] >= metrics["p50_latency_s"] >= 0
+        assert metrics["service.workers"] == 2
+        assert metrics["service.jobs_done"] == 1
+        assert metrics["service.jobs_per_s"] > 0
+        assert metrics["service.queue_depth"] == 0
+        assert metrics["service.lock_acquisitions"] > 0
+        assert metrics["service.job_p99_s"] >= metrics["service.job_p50_s"] >= 0
 
 
 class TestLobstersStress:
@@ -140,6 +140,8 @@ class TestLobstersStress:
         counts = service.queue.counts()
         assert counts["done"] == total  # every job accounted for, none lost
         assert counts["dead"] == counts["pending"] == counts["running"] == 0
+        # Jobs X-prelock their tables in sorted order: waits, never cycles.
+        assert service.metrics()["service.deadlocks"] == 0
         assert check_invariants(db) == []
         assert db.check_integrity() == []
         # Disjoint users, apply-all then reveal-all: exact round trip.

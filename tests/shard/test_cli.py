@@ -164,40 +164,3 @@ class TestShardsCommand:
         db = load_database(deployment["db"])
         assert db.check_integrity() == []
         assert len(db.select("posts", "user_id = 2")) == 2
-
-
-class TestLegacyMetricsMerging:
-    """Satellite: ``metrics --legacy`` must merge every registered
-    subsystem's aliases even when no server is running, including gauges
-    registered *after* a view was already materialized."""
-
-    def test_cli_legacy_includes_storage_aliases(self, deployment, capsys):
-        assert main([
-            "metrics", "--db", deployment["db"], "--legacy", "--json",
-        ]) == 0
-        data = json.loads(capsys.readouterr().out)
-        # Old QueryStats field names resolve with real values (not null).
-        assert data["statements"] == data["storage.statements"]
-        assert data["selects"] == data["storage.selects"]
-
-    def test_late_registered_gauges_appear_in_legacy_view(self):
-        db = make_blog_db()
-        first = db.metrics().legacy()
-        assert "shard_count" not in first
-        # A subsystem attaches later (the sharded engine does exactly
-        # this) and registers both gauges and legacy aliases.
-        db.obs.gauge("shard.shards", lambda: 4)
-        db.obs.register_aliases({"shard_count": "shard.shards"})
-        later = db.metrics().legacy()
-        assert later["shard.shards"] == 4
-        assert later["shard_count"] == 4
-        # The earlier snapshot is immutable — no retroactive rewrite.
-        assert "shard_count" not in first
-
-    def test_prefix_restricted_views_hide_foreign_aliases(self):
-        db = make_blog_db()
-        db.select("users")
-        view = db.obs.view(prefix=("service", "wal"))
-        # The database's storage.* aliases must not leak null keys into
-        # a service-scoped view.
-        assert "statements" not in view.legacy()

@@ -406,6 +406,26 @@ class TestDeltaWal:
         _snap2, full_wal, _ = _wal_workload(tmp_path / "full", delta_writes=False)
         assert delta_wal.stat().st_size < full_wal.stat().st_size
 
+    def test_batched_update_logs_under_half_the_full_row_bytes(self, tmp_path):
+        """One UPDATE over every row: the delta frame carries pk + the one
+        changed column, the full-row frame every column of every row."""
+        logged = {}
+        for delta_writes in (True, False):
+            snap = tmp_path / f"wide-{delta_writes}.jsonl"
+            db = make_db()
+            db.insert_many(
+                "users",
+                [{"id": 100 + i, "name": f"user {i}", "email": f"user{i}@example.org",
+                  "score": i} for i in range(200)],
+            )
+            save_database(db, snap)
+            with open_in_place(snap, fsync="never") as handle:
+                handle.db.delta_writes = delta_writes
+                before = handle.wal.bytes_written
+                handle.db.update_where("users", "id >= 100", {"score": -1})
+                logged[delta_writes] = handle.wal.bytes_written - before
+        assert 0 < 2 * logged[True] <= logged[False]
+
     @pytest.mark.parametrize("delta_writes", [True, False])
     def test_every_byte_boundary_recovers_a_committed_prefix(
         self, tmp_path, delta_writes

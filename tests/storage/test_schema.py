@@ -149,11 +149,38 @@ class TestSchema:
         assert refs[0][0].name == "posts"
         assert schema.referencing("posts") == []
 
-    def test_fk_graph(self):
-        schema = Schema([users_table(), posts_table()])
-        graph = schema.fk_graph()
-        assert graph.has_edge("posts", "users")
-        assert set(graph.nodes) == {"users", "posts"}
+    def test_topological_order(self):
+        def table(name, *parents):
+            return TableSchema(
+                name,
+                [Column("id", T.INTEGER, nullable=False)]
+                + [Column(f"{parent}_id", T.INTEGER) for parent in parents],
+                primary_key="id",
+                foreign_keys=[ForeignKey(f"{parent}_id", parent, "id") for parent in parents],
+            )
+
+        def parents_first(schema):
+            rank = schema.topological_order()
+            return sorted(schema.table_names, key=rank.__getitem__)
+
+        schema = Schema([posts_table(), users_table()])
+        assert parents_first(schema) == ["users", "posts"]
+
+        # A self-reference (comment threads) constrains nothing.
+        threaded = Schema([table("comments", "comments", "users"), table("users")])
+        assert parents_first(threaded) == ["users", "comments"]
+
+        # a <-> b is a cycle: one rank, below what references it (child)
+        # and above what it references (root), declaration order within.
+        cyclic = Schema(
+            [table("child", "a"), table("b", "a"), table("a", "b", "root"),
+             table("root"), table("loner")]
+        )
+        rank = cyclic.topological_order()
+        assert rank["a"] == rank["b"]
+        assert rank["root"] < rank["a"] < rank["child"]
+        assert parents_first(cyclic).index("b") < parents_first(cyclic).index("a")
+        assert set(rank) == set(cyclic.table_names)
 
     def test_object_type_count(self):
         schema = Schema([users_table(), posts_table()])

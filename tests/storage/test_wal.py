@@ -68,6 +68,31 @@ def snap(tmp_path):
     return path
 
 
+def wal_scrub_spec():
+    from repro import Decorrelate, Default, DisguiseSpec, FakeName, Remove, TableDisguise
+
+    return DisguiseSpec(
+        "WalScrub",
+        [
+            TableDisguise(
+                "users",
+                transformations=[Remove("id = $UID")],
+                generate_placeholder={
+                    "name": FakeName(),
+                    "email": Default(None),
+                    "disabled": Default(True),
+                },
+            ),
+            TableDisguise(
+                "posts",
+                transformations=[
+                    Decorrelate("user_id = $UID", foreign_key="user_id")
+                ],
+            ),
+        ],
+    )
+
+
 class TestRedoMirror:
     def test_committed_statements_replay_exactly(self, snap):
         with open_in_place(snap, fsync="always") as handle:
@@ -212,29 +237,9 @@ class TestRedoMirror:
         assert recovered.next_id("users") > allocated
 
     def test_disguise_apply_reveal_cycle_recovers(self, snap, tmp_path):
-        from repro import Decorrelate, Default, DisguiseSpec, FakeName, Remove, TableDisguise
         from repro.vault.file_vault import FileVault
 
-        spec = DisguiseSpec(
-            "WalScrub",
-            [
-                TableDisguise(
-                    "users",
-                    transformations=[Remove("id = $UID")],
-                    generate_placeholder={
-                        "name": FakeName(),
-                        "email": Default(None),
-                        "disabled": Default(True),
-                    },
-                ),
-                TableDisguise(
-                    "posts",
-                    transformations=[
-                        Decorrelate("user_id = $UID", foreign_key="user_id")
-                    ],
-                ),
-            ],
-        )
+        spec = wal_scrub_spec()
         with open_in_place(snap, fsync="always") as handle:
             engine = Disguiser(handle.db, vault=FileVault(tmp_path / "v"), seed=5)
             engine.apply(spec, uid=2)
@@ -248,6 +253,33 @@ class TestRedoMirror:
             engine.register(spec)
             engine.reveal(1)
             assert handle.db.get("users", 2)["name"] == "u2"
+
+    def test_wal_bytes_per_disguise_do_not_grow_with_the_database(self, tmp_path):
+        """O(delta) persistence: one user's disguise logs bytes proportional
+        to the rows that user owns, while a snapshot grows with the database."""
+
+        def disguise_cost(n_bystanders):
+            db = fresh_db()  # user 2 owns 2 of the 10 posts
+            db.insert_many(
+                "users",
+                [{"id": 100 + i, "name": f"b{i}", "email": f"b{i}@x.io"}
+                 for i in range(n_bystanders)],
+            )
+            db.insert_many(
+                "posts",
+                [{"id": 100 + i, "user_id": 100 + i % n_bystanders, "title": f"b{i}"}
+                 for i in range(9 * n_bystanders)],
+            )
+            path = tmp_path / f"app-{n_bystanders}.jsonl"
+            save_database(db, path)
+            with open_in_place(path, fsync="batch") as handle:
+                Disguiser(handle.db, seed=5).apply(wal_scrub_spec(), uid=2)
+                return handle.wal.bytes_written, path.stat().st_size
+
+        small_wal, small_snapshot = disguise_cost(10)
+        large_wal, large_snapshot = disguise_cost(200)
+        assert large_snapshot > 10 * small_snapshot
+        assert large_wal <= 1.2 * small_wal
 
 
 class TestGroupCommit:
