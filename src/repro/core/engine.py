@@ -57,25 +57,26 @@ class Disguiser:
         if hasattr(self.vault, "register_metrics"):
             self.vault.register_metrics(db.obs)
         self.history = DisguiseHistory(db)
-        # Crash recovery: stranded (pre-commit) vault entries must never
-        # have their disguise/entry ids re-issued — see resume_from_vault.
-        self.history.resume_from_vault(self.vault)
-        self._sweep_consumed_entries()
+        self._recover_vault()
         self.registry = PlaceholderRegistry(db)
         self.executor = OpExecutor(db, db.schema, self.registry)
         self.rng = random.Random(seed)
         self.validate_specs = validate_specs
         self._specs: dict[str, DisguiseSpec] = {}
 
-    def _sweep_consumed_entries(self) -> None:
-        """Delete vault entries of disguises that were already revealed.
+    def _recover_vault(self) -> None:
+        """One pass over every owner's vault entries at engine start.
 
-        Reveal commits the history flip first and lands the physical
-        vault deletes only after that commit is durable (see
-        :meth:`VaultJournal.commit`); a crash between the two strands
-        the consumed entries on disk. They are dead — the committed
-        reveal already restored the data — so finish the deletion here,
-        keeping the vault an exact mirror of the active history.
+        * Crash recovery: stranded (pre-commit) vault entries must never
+          have their disguise/entry ids re-issued — see
+          :meth:`DisguiseHistory.resume_past`.
+        * Entries of disguises already revealed are deleted. Reveal
+          commits the history flip first and lands the physical vault
+          deletes only after that commit is durable (see
+          :meth:`VaultJournal.commit`); a crash between the two strands
+          the consumed entries on disk. They are dead — the committed
+          reveal already restored the data — so finish the deletion here,
+          keeping the vault an exact mirror of the active history.
         """
         try:
             owners = self.vault.owners()
@@ -84,13 +85,11 @@ class Disguiser:
         inactive = {
             record.did for record in self.history.records() if not record.active
         }
-        if not inactive:
-            return
         for owner in owners:
+            entries = self.vault.entries_for(owner)
+            self.history.resume_past(entries)
             stale = [
-                entry.entry_id
-                for entry in self.vault.entries_for(owner)
-                if entry.disguise_id in inactive
+                entry.entry_id for entry in entries if entry.disguise_id in inactive
             ]
             if stale:
                 self.vault.delete(owner, stale)
@@ -243,7 +242,7 @@ class Disguiser:
         journal = VaultJournal(self.vault, self.history)
         self.db.begin()
         try:
-            did = self.history.open(
+            did = journal.open(
                 spec.name, uid, reversible, user_invoked=uid is not None
             )
             if _TRACER.enabled:
@@ -315,7 +314,8 @@ class Disguiser:
                     )
             if check_integrity:
                 self.db.assert_integrity()
-            self.history.checkpoint(did)
+            journal.checkpoint(did)
+            journal.write_history()
             self.db.commit()
         except BaseException:
             journal.compensate()
@@ -366,6 +366,7 @@ class Disguiser:
                 )
                 if check_integrity:
                     self.db.assert_integrity()
+                journal.write_history()
                 self.db.commit()
             except BaseException:
                 journal.compensate()

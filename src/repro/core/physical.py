@@ -185,9 +185,13 @@ class PlaceholderFactory:
 class VaultJournal:
     """Vault writes with compensation, for atomicity with the db transaction.
 
-    When given a history log, the journal also maintains each disguise's
-    live entry count (``adjust_entries``); those counter updates are plain
-    database writes inside the open transaction, so they roll back with it.
+    When given a history log, the journal also keeps the history rows of the
+    disguises its transaction touches: each one's live vault-entry count,
+    the ``active`` flag and the ``last_seq`` checkpoint. The changes stage
+    in memory and :meth:`write_history` writes each touched disguise's row
+    once, just before the engine commits — one small redo record per
+    disguise instead of a whole history row per vault write. A rollback
+    simply drops what was staged.
     """
 
     def __init__(self, vault: VaultStore, history=None) -> None:
@@ -197,10 +201,55 @@ class VaultJournal:
         self._doomed: list[VaultEntry] = []
         self._doomed_ids: set[tuple[Any, int]] = set()
         self.writes = 0
+        # did -> staged history-row changes (the whole row for a disguise
+        # opened by this transaction), and the dids opened here.
+        self._staged: dict[int, dict[str, Any]] = {}
+        self._opened: set[int] = set()
+
+    # -- history rows --------------------------------------------------------------
+
+    def open(self, name: str, uid: Any, reversible: bool, user_invoked: bool) -> int:
+        """Start a disguise in this transaction; its history row is written
+        by :meth:`write_history`. Returns the new disguise id."""
+        row = self.history.new_row(name, uid, reversible, user_invoked)
+        did = row["did"]
+        self._staged[did] = row
+        self._opened.add(did)
+        return did
+
+    def deactivate(self, did: int) -> None:
+        self._staged.setdefault(did, {})["active"] = False
+
+    def checkpoint(self, did: int) -> None:
+        """Record the seq high-water mark on *did*'s row."""
+        self._staged.setdefault(did, {})["last_seq"] = self.history.seq_high_water()
 
     def _adjust(self, disguise_id: int, delta: int) -> None:
-        if self.history is not None:
-            self.history.adjust_entries(disguise_id, delta)
+        """Stage a live-entry count change (clamped at 0 per step, as the
+        count has always been maintained)."""
+        if self.history is None:
+            return
+        changes = self._staged.get(disguise_id)
+        if changes is None or "entries" not in changes:
+            entries = self.history.live_entries(disguise_id)
+            if entries is None:
+                return  # entries of a disguise that never committed
+            changes = self._staged.setdefault(disguise_id, {})
+            changes["entries"] = entries
+        changes["entries"] = max(0, changes["entries"] + delta)
+
+    def write_history(self) -> None:
+        """Write each touched disguise's history row once. The engine calls
+        this just before committing the transaction."""
+        for did, changes in self._staged.items():
+            self.history.write(did, changes, new=did in self._opened)
+        self._clear_history()
+
+    def _clear_history(self) -> None:
+        self._staged.clear()
+        self._opened.clear()
+
+    # -- vault entries -------------------------------------------------------------
 
     def put(self, entry: VaultEntry) -> None:
         self.vault.put(entry)
@@ -219,14 +268,8 @@ class VaultJournal:
             self._undo.append(("put", entry))
         self.vault.put_many(entries)
         self.writes += len(entries)
-        # One grouped counter update per disguise, not one per entry; the
-        # deltas are all positive so grouping cannot interact with the
-        # max(0, ...) clamp in adjust_entries.
-        deltas: dict[int, int] = {}
         for entry in entries:
-            deltas[entry.disguise_id] = deltas.get(entry.disguise_id, 0) + 1
-        for disguise_id, delta in deltas.items():
-            self._adjust(disguise_id, delta)
+            self._adjust(entry.disguise_id, +1)
 
     def replace(self, old: VaultEntry, new: VaultEntry) -> None:
         if old.entry_id != new.entry_id:
@@ -262,15 +305,13 @@ class VaultJournal:
         """Undo every journaled vault write, newest first.
 
         Deferred deletes need no compensation — nothing was written —
-        they are simply dropped."""
+        they are simply dropped, as are staged history changes."""
         for action, entry in reversed(self._undo):
             if action == "put":
                 self.vault.delete(entry.owner, [entry.entry_id])
             else:  # replaced — restore the old entry
                 self.vault.replace(entry)
-        self._undo.clear()
-        self._doomed.clear()
-        self._doomed_ids.clear()
+        self.discard()
 
     def commit(self, barrier=None) -> None:
         """Finish the transaction's vault writes after the db commit.
@@ -290,17 +331,16 @@ class VaultJournal:
                 by_owner.setdefault(entry.owner, []).append(entry.entry_id)
             for owner, ids in by_owner.items():
                 self.vault.delete(owner, ids)
-            self._doomed.clear()
-            self._doomed_ids.clear()
-        self._undo.clear()
+        self.discard()
 
     def discard(self) -> None:
         self._undo.clear()
         self._doomed.clear()
         self._doomed_ids.clear()
+        self._clear_history()
 
 
-def _in_list(column: str, values: list[Any]) -> InList:
+def in_list(column: str, values: list[Any]) -> InList:
     return InList(ColumnRef(column), tuple(Literal(value) for value in values))
 
 
@@ -511,13 +551,13 @@ class OpExecutor:
             return
         seen.update((table, pk) for pk in fresh)
         pk_col = self.db.table(table).schema.primary_key
-        rows = self.db.select(table, _in_list(pk_col, fresh))
+        rows = self.db.select(table, in_list(pk_col, fresh))
         if not rows:
             return
         live = [row[pk_col] for row in rows]
         for child_schema, fk in self.schema.referencing(table):
             child_rows = self.db.select(
-                child_schema.name, _in_list(fk.column, live)
+                child_schema.name, in_list(fk.column, live)
             )
             if not child_rows:
                 continue

@@ -19,7 +19,9 @@ therefore:
    through a chain entry in step 3. This is the paper's "re-applies
    disguises from the relevant log interval to the revealed data"
    (reversal of GDPR must not reintroduce identifiable reviews if
-   ConfAnon has occurred).
+   ConfAnon has occurred). The restored rows are read once and each
+   disguise's predicates tested against them in memory first; only a
+   disguise that selects one of them is actually run.
 5. Re-removes restored rows whose parent another active disguise removed
    (the cascade the parent's removal would have performed had this row
    existed then), attributing the removal to that disguise so its own
@@ -33,10 +35,16 @@ from typing import Any, Callable
 
 from repro.core.apply import SpecRunner
 from repro.core.history import DisguiseHistory, HistoryRecord
-from repro.core.physical import OpExecutor, PlaceholderFactory, VaultJournal
+from repro.core.physical import (
+    OpExecutor,
+    PlaceholderFactory,
+    VaultJournal,
+    in_list,
+)
 from repro.core.stats import DisguiseReport, RevealReport
-from repro.errors import DisguiseError, VaultError
+from repro.errors import DisguiseError, StorageError, VaultError
 from repro.spec.disguise import DisguiseSpec, USER_PARAM
+from repro.storage.compile import compile_predicate
 from repro.vault.base import VaultStore
 from repro.vault.entry import OP_DECORRELATE, OP_MODIFY, OP_REMOVE, VaultEntry
 
@@ -65,7 +73,7 @@ def run_reveal(
         if record.entries == 0:
             # The disguise never changed anything (e.g. the user's data was
             # already disguised); revealing it is a no-op.
-            history.deactivate(did)
+            journal.deactivate(did)
             return
         raise DisguiseError(
             f"disguise {did} ({record.name}) wrote {record.entries} vault "
@@ -155,6 +163,13 @@ def run_reveal(
         # Dedupe pk lists (a row can appear via several of D's entries).
         for table in restored:
             restored[table] = list(dict.fromkeys(restored[table]))
+        # Most other disguises select none of the restored rows (another
+        # user's GDPR disguise, say), and a spec run whose transformations
+        # select nothing changes nothing — so no later transformation of
+        # that run can select anything either. Each disguise's predicates
+        # are therefore tested against the restored rows in memory first,
+        # and only a disguise that selects one of them is run.
+        rows = _RestoredRows(executor.db, restored)
         for other in history.records(active_only=True):
             if other.did == did:
                 continue
@@ -168,6 +183,8 @@ def run_reveal(
             if not any(restrict.values()):
                 continue
             params = {USER_PARAM: other.uid} if other.uid is not None else {}
+            if not _selects_any(spec, restrict, params, rows):
+                continue
             sub_report = DisguiseReport(
                 disguise_id=other.did, name=other.name, uid=other.uid
             )
@@ -186,6 +203,7 @@ def run_reveal(
             )
             runner.run(restrict=restrict)
             report.spec_reapplied += sub_report.rows_touched
+            rows.forget()  # the run may have written: read the rows afresh
 
     # Phase 5: cascade re-removal. A restored row whose parent an active
     # disguise removed would have been cascaded away had it existed at
@@ -227,8 +245,79 @@ def run_reveal(
             f"cover the revealed child"
         )
 
-    history.deactivate(did)
-    history.checkpoint(did)
+    journal.deactivate(did)
+    journal.checkpoint(did)
+
+
+class _RestoredRows:
+    """The restored rows as phase 4 tests them.
+
+    Each table's rows are read with one locked select, on first use and
+    again only after :meth:`forget` (a spec run may have written); each
+    transformation predicate is compiled once per reveal, then bound per
+    disguise.
+    """
+
+    def __init__(self, db: Any, restored: dict[str, list[Any]]) -> None:
+        self.db = db
+        self.restored = restored
+        self._rows: dict[str, dict[Any, Any]] = {}
+        self._compiled: dict[int, Any] = {}
+
+    def of(self, table: str) -> dict[Any, Any]:
+        """pk -> current row, for the restored rows of *table* still present."""
+        current = self._rows.get(table)
+        if current is None:
+            pk_col = self.db.table(table).schema.primary_key
+            current = self._rows[table] = {
+                row[pk_col]: row
+                for row in self.db.select(
+                    table, in_list(pk_col, self.restored[table])
+                )
+            }
+        return current
+
+    def forget(self) -> None:
+        self._rows.clear()
+
+    def matcher(self, pred: Any, params: dict[str, Any]) -> Callable[[Any], Any]:
+        """``row -> True/False/None`` for *pred* bound to *params*."""
+        key = id(pred)
+        if key not in self._compiled:
+            self._compiled[key] = compile_predicate(pred)
+        compiled = self._compiled[key]
+        if compiled is None:
+            return lambda row: pred.test(row, params)
+        return compiled.bind(params)
+
+
+def _selects_any(
+    spec: DisguiseSpec,
+    restrict: dict[str, list[Any]],
+    params: dict[str, Any],
+    rows: _RestoredRows,
+) -> bool:
+    """Whether any transformation of *spec* selects a row of *restrict*.
+
+    A predicate whose evaluation raises counts as selecting, so the runner
+    meets (and reports) the error exactly as it would have.
+    """
+    for table, pks in restrict.items():
+        if not pks:
+            continue
+        current = rows.of(table)
+        live = [current[pk] for pk in pks if pk in current]
+        if not live:
+            continue
+        for transformation in spec.table_disguise(table).transformations:
+            match = rows.matcher(transformation.pred, params)
+            try:
+                for row in live:
+                    if match(row) is True:
+                        return True
+            except StorageError:
+                return True
+    return False
 
 
 def _cascade_orphans(

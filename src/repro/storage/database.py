@@ -621,9 +621,27 @@ class Database:
         if old_pk != new_pk:
             self._check_pk_change_references(target, old_pk)
         self._log_undo(lambda: target.update_by_pk(new_pk, old))
-        self._log_redo(
-            {"op": "update", "table": target.name, "updates": [(old_pk, new)]}
-        )
+        if old_pk != new_pk or not self.delta_writes:
+            # A renumbered row replays as a full replacement keyed by its
+            # old pk (fmt-1 shape); so does the legacy full-row mode.
+            self._log_redo(
+                {"op": "update", "table": target.name, "updates": [(old_pk, new)]}
+            )
+            return new
+        # Same pk: log only the columns whose stored value changed, as the
+        # batched delta path does (fmt-2 ``deltas``).
+        delta = {
+            column: new[column]
+            for column in changes
+            if not (
+                old[column] is new[column]
+                or (old[column] == new[column] and type(old[column]) is type(new[column]))
+            )
+        }
+        if delta:
+            self._log_redo(
+                {"op": "update", "table": target.name, "deltas": [[old_pk, delta]]}
+            )
         return new
 
     @_statement(_DELETE)

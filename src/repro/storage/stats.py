@@ -36,7 +36,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Iterable, Mapping
 
-__all__ = ["ColumnStats", "TableStatistics", "KMV_K"]
+__all__ = ["ColumnStats", "TableStatistics", "DEFERRED", "KMV_K"]
 
 KMV_K = 64
 
@@ -243,3 +243,25 @@ class TableStatistics:
     def min_max(self, column: str) -> tuple[Any, Any] | None:
         stats = self._columns.get(column)
         return None if stats is None else stats.bounds()
+
+
+class _Deferred:
+    """Mutation hooks that do nothing, for a bulk load (WAL replay) whose
+    tables rebuild their statistics once at the end instead of per row
+    (:meth:`repro.storage.table.Table.rebuild_statistics`)."""
+
+    __slots__ = ()
+
+    def on_insert(self, row: Mapping[str, Any]) -> None:
+        pass
+
+    on_delete = on_insert
+
+    def on_update(self, old: Any, new: Any, touched: Any = None) -> None:
+        pass
+
+    def on_update_deltas(self, changes: Any) -> None:
+        pass
+
+
+DEFERRED = _Deferred()

@@ -361,6 +361,16 @@ class Table:
 
     # -- statistics & EXPLAIN ----------------------------------------------------
 
+    def rebuild_statistics(self) -> None:
+        """Recompute the planner statistics from the live rows in one pass.
+
+        Bulk loaders (WAL replay) install :data:`~repro.storage.stats.DEFERRED`
+        as ``statistics`` while they mutate, then call this once."""
+        stats = TableStatistics(col.name for col in self.schema.columns)
+        for row in self._rows.values():
+            stats.on_insert(row)
+        self.statistics = stats
+
     def stat_row_count(self) -> int:
         return len(self._rows)
 

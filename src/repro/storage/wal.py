@@ -46,7 +46,7 @@ import struct
 import threading
 import zlib
 from pathlib import Path
-from typing import Any, BinaryIO, Iterator
+from typing import Any, BinaryIO, Iterable, Iterator
 
 from repro.errors import StorageError
 from repro.obs.trace import TRACER as _TRACER
@@ -63,6 +63,7 @@ from repro.storage.persist import (
     save_database_atomic,
 )
 from repro.storage.schema import Schema
+from repro.storage.stats import DEFERRED
 
 __all__ = [
     "WalCorruptionError",
@@ -183,22 +184,25 @@ def _iter_frames(blob: bytes, path: Path) -> Iterator[tuple[int, dict[str, Any]]
         offset = start + length
 
 
-def _scan_log(blob: bytes, path: Path) -> tuple[int, list[list[dict[str, Any]]], int]:
-    """Parse a log: ``(generation, committed units, sealed-prefix length)``.
+def _scan_log(
+    blob: bytes, path: Path
+) -> Iterator[tuple[int, list[dict[str, Any]] | None, int]]:
+    """Parse a log lazily: yield ``(generation, unit, sealed-prefix length)``.
 
+    The header yields first, with ``unit=None``; then each committed unit
+    yields as soon as its commit frame is read, so a reader can apply the
+    log one unit at a time instead of holding every decoded unit at once.
     The sealed-prefix length is the byte offset just past the last frame
     that is *durably meaningful* — the header or a commit frame. Everything
     after it (a torn frame, or statement frames never sealed by a commit)
     is crash debris that a writer must trim before appending.
 
     Raises :class:`WalCorruptionError` for mid-log damage or a first frame
-    that is not a valid header; an empty or headerless-torn blob scans as
-    ``(0, [], 0)``.
+    that is not a valid header; an empty or headerless-torn blob yields
+    nothing.
     """
-    units: list[list[dict[str, Any]]] = []
     pending: list[dict[str, Any]] = []
     generation = 0
-    sealed_end = 0
     saw_header = False
     for end, frame in _iter_frames(blob, path):
         kind = frame.get("t")
@@ -213,18 +217,16 @@ def _scan_log(blob: bytes, path: Path) -> tuple[int, list[list[dict[str, Any]]],
                 )
             generation = int(frame.get("gen", 0))
             saw_header = True
-            sealed_end = end
+            yield generation, None, end
         elif kind == _T_STMT:
             pending.append(frame)
         elif kind == _T_COMMIT:
-            units.append(pending)
+            yield generation, pending, end
             pending = []
-            sealed_end = end
         else:
             raise WalCorruptionError(f"{path}: unexpected frame {kind!r}")
     # A trailing run of statement frames without a commit frame is an
-    # unacked transaction cut off by the crash: discard it.
-    return generation, units, sealed_end
+    # unacked transaction cut off by the crash: it is never yielded.
 
 
 def _has_valid_frame(blob: bytes, offset: int) -> bool:
@@ -299,7 +301,9 @@ class WriteAheadLog:
         # one from a *newer* snapshot than the caller has means the base it
         # was logged against is gone — refuse.
         blob = self.path.read_bytes() if self.path.exists() else b""
-        log_gen, _units, sealed_end = _scan_log(blob, self.path)
+        log_gen = sealed_end = 0
+        for log_gen, _unit, sealed_end in _scan_log(blob, self.path):
+            pass
         if generation is None:
             generation = log_gen
         elif log_gen > generation:
@@ -426,10 +430,24 @@ class WriteAheadLog:
             self._append_unit(ddl)
 
     def on_statement(self, record: dict[str, Any]) -> None:
-        if self._tx_stack:
-            self._tx_stack[-1].append(_encode_record(record))
+        encoded = _encode_record(record)
+        if not self._tx_stack:
+            self._append_unit([encoded])
+            return
+        level = self._tx_stack[-1]
+        last = level[-1] if level else None
+        if (
+            last is not None
+            and encoded["op"] == "insert"
+            and last["op"] == "insert"
+            and last["table"] == encoded["table"]
+        ):
+            # Back-to-back inserts into one table (reveal reinserting a
+            # removal's rows one entry at a time) replay as one batch:
+            # one record instead of one per row.
+            last["rows"].extend(encoded["rows"])
         else:
-            self._append_unit([_encode_record(record)])
+            level.append(encoded)
 
     def on_ddl(self, record: dict[str, Any]) -> None:
         """DDL buffers in statement order mid-transaction (a transaction
@@ -598,7 +616,10 @@ class WriteAheadLog:
         or wrong-version header on a non-empty log.
         """
         path = fsio.as_path(path)
-        generation, units, _sealed_end = _scan_log(path.read_bytes(), path)
+        generation, units = 0, []
+        for generation, unit, _sealed_end in _scan_log(path.read_bytes(), path):
+            if unit is not None:
+                units.append(unit)
         return generation, units
 
     @staticmethod
@@ -641,20 +662,32 @@ def rewrite_log(
 # -- replay --------------------------------------------------------------------------
 
 
-def replay_into(db: Database, units: list[list[dict[str, Any]]]) -> int:
+def replay_into(db: Database, units: Iterable[list[dict[str, Any]]]) -> int:
     """Apply committed redo units to *db*; returns statements replayed.
 
     Records are applied at the physical table layer (FK enforcement and
     cascades already ran before the records were written; replaying them
     through the statement API would double-apply cascade effects). Integer
     primary-key watermarks are advanced so id allocation never hands out a
-    replayed id again.
+    replayed id again. *units* may be a lazy iterable (recovery streams
+    them from the log). Planner statistics of every table the replay
+    writes are rebuilt once at the end, not maintained per replayed row.
     """
     applied = 0
-    for unit in units:
-        for record in unit:
-            _apply_record(db, record)
-            applied += 1
+    deferred: set[str] = set()
+    try:
+        for unit in units:
+            for record in unit:
+                name = record.get("table")
+                if name is not None and name not in deferred and db.has_table(name):
+                    deferred.add(name)
+                    db.table(name).statistics = DEFERRED
+                _apply_record(db, record)
+                applied += 1
+    finally:
+        for name in deferred:
+            if db.has_table(name):
+                db.table(name).rebuild_statistics()
     return applied
 
 
@@ -751,15 +784,23 @@ def recover_database(
     else:
         db = Database(Schema())
     if wal_path.exists():
-        wal_gen, units = WriteAheadLog.read_log(wal_path)
+        # Committed units are applied as the scan seals them: recovery never
+        # holds more than one decoded unit of the log.
+        scan = _scan_log(wal_path.read_bytes(), wal_path)
+        header = next(scan, None)
+        wal_gen = header[0] if header is not None else 0
+        units = (unit for _gen, unit, _end in scan)
         if wal_gen == snapshot_gen:
             replay_into(db, units)
-        elif wal_gen > snapshot_gen:
-            raise WalCorruptionError(
-                f"{wal_path}: log generation {wal_gen} is newer than snapshot "
-                f"generation {snapshot_gen}; its base snapshot is missing"
-            )
-        # wal_gen < snapshot_gen: already folded into the snapshot — skip.
+        else:
+            for _unit in units:
+                pass  # still validated: mid-log damage raises either way
+            if wal_gen > snapshot_gen:
+                raise WalCorruptionError(
+                    f"{wal_path}: log generation {wal_gen} is newer than snapshot "
+                    f"generation {snapshot_gen}; its base snapshot is missing"
+                )
+            # wal_gen < snapshot_gen: already folded into the snapshot — skip.
     if verify:
         db.assert_integrity()
     return db

@@ -3,9 +3,22 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import Database, Disguiser, Schema, parse_schema
 from repro.apps.hotcrp import HotcrpPopulation, all_disguises, generate_hotcrp
+
+# The nightly CI run loads this profile (`--hypothesis-profile=nightly`);
+# property tests that size themselves with `examples()` then run 20x the
+# examples they run in tier-1.
+settings.register_profile(
+    "nightly", max_examples=20 * settings.get_profile("default").max_examples
+)
+
+
+def examples(tier1: int) -> int:
+    """*tier1* examples, scaled by the loaded profile's example budget."""
+    return tier1 * settings().max_examples // settings.get_profile("default").max_examples
 
 BLOG_DDL = """
 CREATE TABLE users (

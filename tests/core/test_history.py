@@ -90,3 +90,75 @@ class TestHistory:
         history = DisguiseHistory(blog_db)
         did = history.open("A", uid="alice", reversible=True, user_invoked=True)
         assert history.get(did).uid == "alice"
+
+
+class TestActiveIndex:
+    def test_active_records_examine_only_active_rows(self, blog_db):
+        history = DisguiseHistory(blog_db)
+        dids = [history.open(f"D{n}", n, True, True) for n in range(12)]
+        for did in dids[:9]:
+            history.deactivate(did)
+        table = blog_db.table(HISTORY_TABLE)
+        before = table.rows_examined
+        records = history.records(active_only=True)
+        assert [r.did for r in records] == dids[9:]
+        assert table.rows_examined - before == 3
+
+    def test_index_survives_reattach(self, blog_db):
+        DisguiseHistory(blog_db)
+        generation = blog_db.plans.generation
+        DisguiseHistory(blog_db)  # the index exists: no plan invalidation
+        assert blog_db.table(HISTORY_TABLE).has_indexed("active")
+        assert blog_db.plans.generation == generation
+
+
+def _history_writes(unit):
+    """The disguise ids named by each ``_disguise_history`` redo record."""
+    out = []
+    for record in unit:
+        if record.get("table") != HISTORY_TABLE:
+            continue
+        if record["op"] == "insert":
+            out.extend(row["did"] for row in record["rows"])
+        else:
+            pairs = record.get("deltas", []) + record.get("updates", [])
+            out.extend(pk for pk, _ in pairs)
+            out.extend(record.get("set_pks", []))
+    return out
+
+
+class TestOneHistoryWritePerDisguise:
+    def test_each_transaction_writes_each_touched_row_once(self, tmp_path):
+        from tests.conftest import blog_anon_spec, blog_scrub_spec, make_blog_db
+        from repro import Disguiser
+        from repro.storage.persist import save_database
+        from repro.storage.wal import WalDatabase, WriteAheadLog
+
+        snapshot = tmp_path / "blog.jsonl"
+        save_database(make_blog_db(), snapshot)
+        handle = WalDatabase(snapshot, fsync="never")
+        engine = Disguiser(handle.db, seed=3)
+        engine.register(blog_scrub_spec())
+        engine.register(blog_anon_spec())
+        seen = len(WriteAheadLog.read_units(handle.wal_path))
+
+        def one_unit(action):
+            nonlocal seen
+            result = action()
+            units = WriteAheadLog.read_units(handle.wal_path)
+            assert len(units) == seen + 1  # one transaction, one commit unit
+            seen = len(units)
+            return result, _history_writes(units[-1])
+
+        scrub, writes = one_unit(lambda: engine.apply("BlogScrub", uid=1).disguise_id)
+        assert writes == [scrub]
+        anon, writes = one_unit(lambda: engine.apply("BlogAnon").disguise_id)
+        assert writes == [anon]
+        # Revealing the scrub re-applies the anonymization to user 1's
+        # restored rows: two disguises' rows change, each written once.
+        report, writes = one_unit(lambda: engine.reveal(scrub))
+        assert report.spec_reapplied > 0
+        assert sorted(writes) == sorted({scrub, anon})
+        _, writes = one_unit(lambda: engine.reveal(anon))
+        assert writes == [anon]
+        handle.close()
