@@ -5,14 +5,12 @@ tool, which computes the necessary database changes and applies them to
 the application's database backend." This module is that external tool for
 snapshot-backed databases: it loads the application database from a JSON
 snapshot, keeps vaults in a directory (:class:`~repro.vault.FileVault`),
-applies or reveals disguises, and writes the snapshot back.
+applies or reveals disguises, and journals the changes next to it.
 
 Usage::
 
     python -m repro.cli apply   --db app.jsonl --vault-dir vaults \
                                 --spec scrub.json --uid 19
-    python -m repro.cli apply   --db app.jsonl --vault-dir vaults \
-                                --spec scrub.json --uid 19 --wal
     python -m repro.cli reveal  --db app.jsonl --vault-dir vaults \
                                 --spec scrub.json --did 1
     python -m repro.cli explain --db app.jsonl --vault-dir vaults \
@@ -25,20 +23,19 @@ Usage::
     python -m repro.cli submit  --db app.jsonl reveal --did 1
     python -m repro.cli jobs    --db app.jsonl
     python -m repro.cli serve   --db app.jsonl --vault-dir vaults \
-                                --spec scrub.json --workers 4 --wal
+                                --spec scrub.json --workers 4
     python -m repro.cli serve   --db app.jsonl --vault-dir vaults \
                                 --spec scrub.json --workers 4 --shards 4
     python -m repro.cli shards  --db app.jsonl
     python -m repro.cli shards  --db app.jsonl --owner 19 --migrate-to 2 \
                                 --vault-dir vaults
 
-Without ``--wal`` every write command rewrites the whole snapshot —
-O(database) per invocation. With ``--wal`` the command appends the
-disguise's changes to ``<db>.wal`` instead (O(changes); ``--fsync``
-selects the durability/throughput trade-off) and the snapshot is only
-rewritten when ``checkpoint`` folds the log back in. Every command reads
-through a pending WAL, so the two modes interoperate: a non-WAL write
-performs an implicit checkpoint.
+``apply``, ``reveal`` and ``serve`` open the snapshot in place: they
+append the disguise's changes to ``<db>.wal`` (O(changes); ``--fsync``
+selects the durability/throughput trade-off) and leave the snapshot's
+bytes alone. ``checkpoint`` is the only command that rewrites the
+snapshot, folding the log back in. Every read command reads through a
+pending log; ``explain`` and ``trace`` write to neither file.
 
 ``submit`` appends a request to the durable job queue (``<db>.jobs``)
 without touching the database; ``serve`` starts the concurrent disguise
@@ -70,7 +67,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any
 
 from repro.core.engine import Disguiser
 from repro.core.history import HISTORY_TABLE
@@ -88,7 +84,6 @@ from repro.storage.wal import (
     FSYNC_POLICIES,
     WalDatabase,
     default_wal_path,
-    open_in_place,
     recover_database,
 )
 from repro.vault.file_vault import FileVault
@@ -107,13 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_db(p):
         p.add_argument("--db", required=True, help="application database snapshot (JSON lines)")
 
-    def add_wal(p):
-        p.add_argument(
-            "--wal",
-            action="store_true",
-            help="open the database in place: append changes to <db>.wal "
-            "(O(changes)) instead of rewriting the snapshot (O(database))",
-        )
+    def add_fsync(p):
         p.add_argument(
             "--fsync",
             choices=FSYNC_POLICIES,
@@ -143,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_apply.add_argument("--no-compose", action="store_true", help="disable vault recorrelation")
     p_apply.add_argument("--no-optimize", action="store_true", help="disable the redundancy optimizer")
     p_apply.add_argument("--check-integrity", action="store_true")
-    add_wal(p_apply)
+    add_fsync(p_apply)
 
     p_reveal = sub.add_parser("reveal", help="reverse a previously applied disguise")
     add_db(p_reveal)
@@ -151,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_specs(p_reveal)
     p_reveal.add_argument("--did", type=int, required=True, help="disguise id to reveal")
     p_reveal.add_argument("--check-integrity", action="store_true")
-    add_wal(p_reveal)
+    add_fsync(p_reveal)
 
     p_explain = sub.add_parser("explain", help="dry-run: what would apply do?")
     add_db(p_explain)
@@ -233,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         "per-shard WALs, per-shard vaults, owner-rooted jobs confined to "
         "one shard (default: 1, unsharded)",
     )
-    add_wal(p_serve)
+    add_fsync(p_serve)
 
     p_submit = sub.add_parser(
         "submit", help="append a job to the durable queue (no workers run)"
@@ -400,40 +389,31 @@ def _read_db(args, verify: bool = True):
     return load_database(args.db, verify=verify)
 
 
-def _open_for_write(args) -> tuple[Any, WalDatabase | None]:
-    """The database for a write command, plus the WAL handle when ``--wal``."""
-    if getattr(args, "wal", False):
-        handle = open_in_place(args.db, fsync=args.fsync)
-        return handle.db, handle
-    return _read_db(args), None
-
-
-def _finish_write(args, db, handle: WalDatabase | None) -> None:
-    """Persist a write command's result: WAL close, or snapshot rewrite.
-
-    A non-WAL write on a database with a pending log is an implicit
-    checkpoint, with the same crash discipline as
-    :meth:`WalDatabase.checkpoint`: the snapshot is installed atomically
-    (temp file + fsync + rename) with its generation bumped past the
-    pending log's, so the old snapshot survives a crash mid-write and a
-    crash before the unlink leaves a log that recovery recognizes as
-    already folded in rather than replaying it over the new snapshot.
-    """
-    if handle is not None:
-        handle.close()
-        return
-    save_database_atomic(db, args.db, generation=read_snapshot_generation(args.db) + 1)
-    default_wal_path(args.db).unlink(missing_ok=True)
-
-
-def _engine(args) -> tuple[Disguiser, WalDatabase | None]:
-    db, handle = _open_for_write(args)
-    vault = FileVault(args.vault_dir)
-    engine = Disguiser(db, vault=vault)
-    for spec_path in getattr(args, "spec", None) or []:
+def _engine(args, db) -> Disguiser:
+    engine = Disguiser(db, vault=FileVault(args.vault_dir))
+    for spec_path in args.spec:
         document = Path(spec_path).read_text(encoding="utf-8")
         engine.register(spec_from_json(document))
-    return engine, handle
+    return engine
+
+
+def _open_db(args, fsync: str = "batch") -> WalDatabase:
+    """The database opened in place: committed changes append to
+    ``<db>.wal``; only ``checkpoint`` rewrites the snapshot."""
+    if not Path(args.db).exists() and not default_wal_path(args.db).exists():
+        # Opening would start a log for an empty database beside a typo.
+        raise ReproError(f"no database snapshot at {args.db}")
+    return WalDatabase(args.db, fsync=fsync)
+
+
+def _open_engine(args) -> tuple[Disguiser, WalDatabase]:
+    """An engine over the database opened in place, plus its WAL handle."""
+    handle = _open_db(args, args.fsync)
+    try:
+        return _engine(args, handle.db), handle
+    except BaseException:
+        handle.close()
+        raise
 
 
 def _spec_name(engine: Disguiser, args) -> str:
@@ -444,8 +424,8 @@ def _spec_name(engine: Disguiser, args) -> str:
 
 
 def cmd_apply(args) -> int:
-    engine, handle = _engine(args)
-    try:
+    engine, handle = _open_engine(args)
+    with handle:
         name = _spec_name(engine, args)
         report = engine.apply(
             name,
@@ -455,31 +435,22 @@ def cmd_apply(args) -> int:
             optimize=not args.no_optimize,
             check_integrity=args.check_integrity,
         )
-    except BaseException:
-        if handle is not None:
-            handle.close()
-        raise
-    _finish_write(args, engine.db, handle)
     print(report.summary())
     print(f"disguise id: {report.disguise_id}")
     return 0
 
 
 def cmd_reveal(args) -> int:
-    engine, handle = _engine(args)
-    try:
+    engine, handle = _open_engine(args)
+    with handle:
         report = engine.reveal(args.did, check_integrity=args.check_integrity)
-    except BaseException:
-        if handle is not None:
-            handle.close()
-        raise
-    _finish_write(args, engine.db, handle)
     print(report.summary())
     return 0
 
 
 def cmd_explain(args) -> int:
-    engine, _handle = _engine(args)
+    # A dry run: the engine works on an in-memory copy with no log attached.
+    engine = _engine(args, _read_db(args))
     name = _spec_name(engine, args)
     plan = engine.explain(name, uid=args.uid, optimize=not args.no_optimize)
     print(plan.describe())
@@ -692,29 +663,19 @@ def _serve_sharded(args) -> int:
 
 def cmd_serve(args) -> int:
     if args.shards > 1:
-        if getattr(args, "wal", False):
-            raise ReproError(
-                "--wal and --shards are mutually exclusive: sharded serve "
-                "always journals to per-shard WALs (<db>.s<i>.wal)"
-            )
         return _serve_sharded(args)
-    engine, handle = _engine(args)
-    service = DisguiseService(
-        engine,
-        _queue_path(args),
-        workers=args.workers,
-        wal=handle.wal if handle is not None else None,
-        lock_timeout=args.lock_timeout,
-        max_attempts=args.max_attempts,
-    )
-    try:
+    engine, handle = _open_engine(args)
+    with handle:
+        service = DisguiseService(
+            engine,
+            _queue_path(args),
+            workers=args.workers,
+            wal=handle.wal,
+            lock_timeout=args.lock_timeout,
+            max_attempts=args.max_attempts,
+        )
         with service:
             drained = service.drain(timeout=args.drain_timeout)
-    except BaseException:
-        if handle is not None:
-            handle.close()
-        raise
-    _finish_write(args, engine.db, handle)
     print(json.dumps(service.metrics(), indent=2, sort_keys=True))
     if not drained:
         print("warning: drain timed out with jobs still queued", file=sys.stderr)
@@ -997,7 +958,7 @@ def cmd_simtest(args) -> int:
 def cmd_checkpoint(args) -> int:
     wal_path = default_wal_path(args.db)
     pending = wal_path.stat().st_size if wal_path.exists() else 0
-    with open_in_place(args.db) as handle:
+    with _open_db(args) as handle:
         handle.checkpoint()
         rows = handle.db.total_rows()
     print(f"checkpointed {args.db}: {rows} rows, folded {pending} WAL byte(s)")

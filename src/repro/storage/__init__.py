@@ -38,7 +38,6 @@ from repro.storage.wal import (
     WalCorruptionError,
     WalDatabase,
     WriteAheadLog,
-    open_in_place,
     recover_database,
 )
 
@@ -74,6 +73,5 @@ __all__ = [
     "WriteAheadLog",
     "WalDatabase",
     "WalCorruptionError",
-    "open_in_place",
     "recover_database",
 ]

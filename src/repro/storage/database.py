@@ -179,11 +179,6 @@ class Database:
         # recycled) — otherwise revealing a removal could collide with a
         # placeholder allocated in between.
         self._id_watermark: dict[str, int] = {}
-        # Delta write path: batched UPDATE statements log changed-column
-        # deltas (undo + WAL) and patch indexes in one pass per statement.
-        # False selects the legacy full-row path — kept for differential
-        # testing and the old-vs-new write benchmark.
-        self.delta_writes = True
         # Observability: this database's metrics registry (repro.obs).
         # Storage/plan-cache gauges register now; subsystems attached later
         # (WAL redo hook, vault, service) register into the same registry.
@@ -615,21 +610,20 @@ class Database:
                         f"{schema.name}.{fk.column}={value!r} references "
                         f"missing {fk.parent_table}.{fk.parent_column}"
                     )
+        pk_col = target.schema.primary_key
+        if pk_col in changes:
+            # Refuse renumbering a referenced row before mutating it.
+            new_pk = changes[pk_col]
+            if new_pk is not None:
+                new_pk = coerce(new_pk, target.schema.column(pk_col).ctype)
+            if new_pk != view[pk_col]:
+                self._check_pk_change_references(target, view[pk_col])
         old, new = target.update_by_pk(pk_value, changes)
-        old_pk = old[target.schema.primary_key]
-        new_pk = new[target.schema.primary_key]
-        if old_pk != new_pk:
-            self._check_pk_change_references(target, old_pk)
+        old_pk, new_pk = old[pk_col], new[pk_col]
         self._log_undo(lambda: target.update_by_pk(new_pk, old))
-        if old_pk != new_pk or not self.delta_writes:
-            # A renumbered row replays as a full replacement keyed by its
-            # old pk (fmt-1 shape); so does the legacy full-row mode.
-            self._log_redo(
-                {"op": "update", "table": target.name, "updates": [(old_pk, new)]}
-            )
-            return new
-        # Same pk: log only the columns whose stored value changed, as the
-        # batched delta path does (fmt-2 ``deltas``).
+        # Log only the columns whose stored value changed, keyed by the old
+        # pk, as the batched path does; a renumbered row's delta carries
+        # its new pk.
         delta = {
             column: new[column]
             for column in changes
@@ -776,12 +770,12 @@ class Database:
         if isinstance(changes, (str, SetClause)):
             return self._update_where_set(target, pred, parse_set(changes), params or {})
         pk_col = target.schema.primary_key
-        if not self.delta_writes or pk_col in changes:
+        if pk_col in changes:
             views = target.scan(pred, params)
             updates = [(row[pk_col], changes) for row in views]
             self._update_batch(target, updates, enforce_fk=True)
             return len(updates)
-        # Delta fast path: match (rid, stored row) pairs without RowView
+        # Match (rid, stored row) pairs without RowView
         # materialization, coerce the shared change set once, apply as one
         # batch, and log changed-column deltas only.
         matches = target.match_rows(pred, params)
@@ -811,10 +805,10 @@ class Database:
                 raise UnknownColumnError(
                     f"table {target.name!r} has no column {name!r}"
                 )
-        if pk_col in columns or not self.delta_writes:
+        if pk_col in columns:
             # Primary-key assignments (placeholder renumbering) need the
-            # per-row reference checks; legacy mode keeps the full-row
-            # shape. Still ONE batched statement (one undo/redo unit).
+            # per-row reference checks. Still ONE batched statement (one
+            # undo/redo unit).
             rows = target.scan(pred, params)
             evaluate = self._set_evaluator(target, clause, params)
             updates = [
@@ -988,23 +982,7 @@ class Database:
                             f"{target.name}.{fk.column}={value!r} references "
                             f"missing {fk.parent_table}.{fk.parent_column}"
                         )
-        if not self.delta_writes:
-            # Legacy full-row path: undo restores complete old rows and the
-            # WAL frame carries every new row in full.
-            pairs = target.update_pks(updates)
-            self._stats.updates += len(pairs)
-            restore = [(old[pk_col], old) for old, _new in pairs]
-            restore.reverse()
-            self._log_undo(lambda: target.update_pks(restore))
-            self._log_redo(
-                {
-                    "op": "update",
-                    "table": target.name,
-                    "updates": [(old[pk_col], new) for old, new in pairs],
-                }
-            )
-            return [new for _old, new in pairs]
-        # Delta path: resolve rids once, coerce each distinct change set
+        # Resolve rids once, coerce each distinct change set
         # once (batched statements usually share one mapping across every
         # row — SET NULL cascades, update_where), apply as one batch with
         # grouped index maintenance, and log changed-column deltas only.

@@ -161,17 +161,8 @@ class TableStatistics:
         for name, stats in self._columns.items():
             stats.on_delete(row.get(name))
 
-    def on_update(
-        self,
-        old: Mapping[str, Any],
-        new: Mapping[str, Any],
-        touched: Iterable[str] | None = None,
-    ) -> None:
-        names = self._columns.keys() if touched is None else touched
-        for name in names:
-            stats = self._columns.get(name)
-            if stats is None:
-                continue
+    def on_update(self, old: Mapping[str, Any], new: Mapping[str, Any]) -> None:
+        for name, stats in self._columns.items():
             before, after = old.get(name), new.get(name)
             if before == after and type(before) is type(after):
                 continue
@@ -257,7 +248,7 @@ class _Deferred:
 
     on_delete = on_insert
 
-    def on_update(self, old: Any, new: Any, touched: Any = None) -> None:
+    def on_update(self, old: Any, new: Any) -> None:
         pass
 
     def on_update_deltas(self, changes: Any) -> None:

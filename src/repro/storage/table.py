@@ -745,64 +745,6 @@ class Table:
         self.statistics.on_update(old, new)
         return dict(old), dict(new)
 
-    def update_pks(
-        self, updates: Iterable[tuple[Any, Mapping[str, Any]]]
-    ) -> list[tuple[dict[str, Any], dict[str, Any]]]:
-        """Apply many ``(pk, changes)`` updates as one batch.
-
-        Index maintenance is grouped: only the indexes of columns actually
-        named in each change set are touched, instead of re-indexing every
-        secondary index per row (what :meth:`update_by_pk` must do).
-        Primary-key changes are not supported here — callers fall back to
-        the per-row path for those. Updates are applied in order, so a later
-        update of the same row observes the earlier one. The batch is
-        validated and staged before any stored state changes, so a failure
-        partway through mutates nothing. Returns ``(old_row, new_row)``
-        pairs.
-        """
-        pk_col = self.schema.primary_key
-        staged: dict[int, dict[str, Any]] = {}  # rid -> replacement row
-        plan: list[tuple[int, dict[str, Any], dict[str, Any], list[str]]] = []
-        for pk_value, changes in updates:
-            rid = self._pk_index.lookup(pk_value)
-            if rid is None:
-                raise NoSuchRowError(
-                    f"{self.name}: no row with {pk_col}={pk_value!r}"
-                )
-            old = staged.get(rid, self._rows[rid])
-            new = dict(old)
-            touched: list[str] = []
-            for column, value in changes.items():
-                if not self.schema.has_column(column):
-                    raise UnknownColumnError(
-                        f"table {self.name!r} has no column {column!r}"
-                    )
-                if column == pk_col and value != pk_value:
-                    raise ConstraintError(
-                        f"{self.name}: update_pks cannot change primary keys"
-                    )
-                col = self.schema.column(column)
-                coerced = coerce(value, col.ctype) if value is not None else None
-                if coerced is None and not col.nullable:
-                    raise SchemaError(
-                        f"column {self.name}.{column} is NOT NULL but got NULL"
-                    )
-                new[column] = coerced
-                touched.append(column)
-            staged[rid] = new
-            plan.append((rid, old, new, touched))
-        out: list[tuple[dict[str, Any], dict[str, Any]]] = []
-        for rid, old, new, touched in plan:
-            for column in touched:
-                index = self._secondary.get(column)
-                if index is not None:
-                    index.remove(old[column], rid)
-                    index.insert(new[column], rid)
-            self._rows[rid] = new
-            self.statistics.on_update(old, new, touched)
-            out.append((dict(old), new))
-        return out
-
     def referencing_rows(
         self, fk_column: str, value: Any, sort: bool = True
     ) -> list[RowView]:

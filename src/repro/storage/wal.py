@@ -48,7 +48,7 @@ import zlib
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Iterator
 
-from repro.errors import StorageError
+from repro.errors import NoSuchRowError, StorageError
 from repro.obs.trace import TRACER as _TRACER
 from repro.simtest.clock import resolve_clock
 from repro.storage import fsio
@@ -69,7 +69,6 @@ __all__ = [
     "WalCorruptionError",
     "WriteAheadLog",
     "WalDatabase",
-    "open_in_place",
     "recover_database",
     "replay_into",
     "default_wal_path",
@@ -79,11 +78,13 @@ __all__ = [
 _FRAME_HEADER = struct.Struct("<II")  # payload length, CRC32(payload)
 _WAL_VERSION = 1
 # Record-format version, stamped in the header as "fmt" (the framing
-# "version" above is unchanged). fmt 2 added compact delta update records
-# ("deltas": pk-keyed changed-column maps) alongside the fmt-1 full-row
-# "updates" shape. Readers accept any fmt <= _WAL_FORMAT — a header with
-# no "fmt" key is fmt 1 — and refuse newer logs they cannot interpret.
-_WAL_FORMAT = 2
+# "version" above is unchanged). fmt 3 logs every update as pk-keyed
+# changed-column deltas ("deltas", or "set" + "set_pks"); a renumbered
+# row's delta carries its new pk. Readers accept exactly _WAL_FORMAT: a
+# log from an earlier release (no "fmt", or fmt 1-2, which could hold
+# full-row update records) must be folded into its snapshot by that
+# release's ``checkpoint`` and then deleted.
+_WAL_FORMAT = 3
 FSYNC_POLICIES = ("always", "batch", "never")
 
 # Frame types.
@@ -117,15 +118,11 @@ def _encode_record(record: dict[str, Any]) -> dict[str, Any]:
         out["table"] = record["table"]
     if "rows" in record:  # insert: list of full rows
         out["rows"] = [_encode_row(r) for r in record["rows"]]
-    if "updates" in record:  # update (fmt 1 shape): list of [pk, full new row]
-        out["updates"] = [
-            [_encode_value(pk), _encode_row(new)] for pk, new in record["updates"]
-        ]
-    if "deltas" in record:  # update (fmt 2): list of [pk, changed-column map]
+    if "deltas" in record:  # update: list of [pk, changed-column map]
         out["deltas"] = [
             [_encode_value(pk), _encode_row(delta)] for pk, delta in record["deltas"]
         ]
-    if "set" in record:  # update (fmt 2): one shared delta for many pks
+    if "set" in record:  # update: one shared delta for many pks
         out["set"] = _encode_row(record["set"])
         out["set_pks"] = [_encode_value(pk) for pk in record["set_pks"]]
     if "pks" in record:  # delete: list of pks
@@ -214,6 +211,12 @@ def _scan_log(
                 raise WalCorruptionError(
                     f"{path}: record format {fmt} is newer than the supported "
                     f"format {_WAL_FORMAT}"
+                )
+            if fmt < _WAL_FORMAT:
+                raise WalCorruptionError(
+                    f"{path}: record format {fmt} was written by an earlier "
+                    f"release; run `checkpoint` with that release to fold the "
+                    f"log into its snapshot, then delete {path.name}"
                 )
             generation = int(frame.get("gen", 0))
             saw_header = True
@@ -702,28 +705,7 @@ def _apply_record(db: Database, record: dict[str, Any]) -> None:
             table.insert_rows(rows)
             _bump_watermark(db, record["table"], (r[table.schema.primary_key] for r in rows))
         elif op == "update":
-            table = db.table(record["table"])
-            pk_col = table.schema.primary_key
-            if "deltas" in record or "set" in record:
-                updates = [
-                    (_decode_value(pk), _decode_row(delta))
-                    for pk, delta in record.get("deltas", ())
-                ]
-                if "set" in record:
-                    shared = _decode_row(record["set"])
-                    updates.extend(
-                        (_decode_value(pk), shared) for pk in record["set_pks"]
-                    )
-                table.update_pks(updates)
-                _bump_watermark(db, record["table"], (pk for pk, _ in updates))
-            else:  # fmt 1 logs carry full replacement rows
-                new_pks = []
-                for pk, new in record["updates"]:
-                    _old, stored = table.update_by_pk(
-                        _decode_value(pk), _decode_row(new)
-                    )
-                    new_pks.append(stored[pk_col])
-                _bump_watermark(db, record["table"], new_pks)
+            _replay_update(db, record)
         elif op == "delete":
             db.table(record["table"]).delete_pks(
                 [_decode_value(pk) for pk in record["pks"]]
@@ -738,6 +720,32 @@ def _apply_record(db: Database, record: dict[str, Any]) -> None:
         raise
     except StorageError as exc:
         raise WalCorruptionError(f"replaying {op} on {record.get('table')!r}: {exc}") from exc
+
+
+def _replay_update(db: Database, record: dict[str, Any]) -> None:
+    """Apply one update record's pk-keyed deltas, in logged order."""
+    table = db.table(record["table"])
+    pk_col = table.schema.primary_key
+    updates = [
+        (_decode_value(pk), table.coerce_changes(_decode_row(delta)))
+        for pk, delta in record.get("deltas", ())
+    ]
+    if "set" in record:
+        shared = table.coerce_changes(_decode_row(record["set"]))
+        updates.extend((_decode_value(pk), shared) for pk in record["set_pks"])
+    _bump_watermark(db, table.name, (delta.get(pk_col, pk) for pk, delta in updates))
+    if any(pk_col in delta for _pk, delta in updates):
+        # A renumbered row: update_by_pk re-keys it and keeps its rid.
+        for pk, delta in updates:
+            table.update_by_pk(pk, delta)
+        return
+    deltas = []
+    for pk, delta in updates:
+        rid = table.rid_of(pk)
+        if rid is None:
+            raise NoSuchRowError(f"{table.name}: no row with {pk_col}={pk!r}")
+        deltas.append((rid, delta))
+    table.apply_updates(deltas)
 
 
 def _bump_watermark(db: Database, table: str, pks: Any) -> None:
@@ -869,19 +877,3 @@ class WalDatabase:
         self.close()
         return False
 
-
-def open_in_place(
-    snapshot_path: str | Path,
-    wal_path: str | Path | None = None,
-    fsync: str = "batch",
-    batch_commits: int = 8,
-    verify: bool = True,
-) -> WalDatabase:
-    """Open a snapshot for O(delta) in-place operation (see :class:`WalDatabase`)."""
-    return WalDatabase(
-        snapshot_path,
-        wal_path,
-        fsync=fsync,
-        batch_commits=batch_commits,
-        verify=verify,
-    )

@@ -82,27 +82,6 @@ class FileVault(VaultStore):
         token = quote(str(owner), safe="")
         return self.directory / f"owner-{token}.jsonl"
 
-    def _legacy_path(self, owner: Any) -> Path | None:
-        """Where the pre-encoding layout stored *owner*'s journal.
-
-        Returns None when the raw token already matches the encoded one
-        (nothing to migrate) or the old layout could never have written it
-        (it rejected '/' and leading '.').
-        """
-        token = str(owner)
-        if "/" in token or token.startswith("."):
-            return None
-        legacy = self.directory / f"owner-{token}.jsonl"
-        return None if legacy == self._path(owner) else legacy
-
-    def _migrate_legacy(self, owner: Any, path: Path) -> None:
-        """Rename a legacy raw-token journal to its encoded filename."""
-        if path.exists():
-            return
-        legacy = self._legacy_path(owner)
-        if legacy is not None and legacy.exists():
-            fsio.replace(legacy, path)
-
     # -- journal IO ---------------------------------------------------------------
 
     def _load(self, owner: Any) -> dict[int, VaultEntry]:
@@ -114,7 +93,6 @@ class FileVault(VaultStore):
         entries: dict[int, VaultEntry] = {}
         dead = 0
         path = self._path(owner)
-        self._migrate_legacy(owner, path)
         if path.exists():
             with path.open("r", encoding="utf-8") as handle:
                 for line in handle:
@@ -224,11 +202,15 @@ class FileVault(VaultStore):
         out = []
         for path in self.directory.glob("owner-*.jsonl"):
             token = path.stem[len("owner-") :]
-            # Only tokens the current encoder could have produced are
-            # decoded; anything else is a legacy raw token (e.g. an owner
-            # written by the pre-encoding layout containing '@' or '%')
-            # and is taken literally rather than mangled by unquote.
-            decoded = unquote(token)
-            name = decoded if quote(decoded, safe="") == token else token
-            out.append(int(name) if name.isdigit() else name)
+            name = unquote(token)
+            if quote(name, safe="") != token:
+                continue  # not a filename _path writes
+            # An int owner is written as str(int): only names that print
+            # back unchanged are ints ("007" stays a string).
+            try:
+                number = int(name)
+            except ValueError:
+                out.append(name)
+            else:
+                out.append(number if str(number) == name else name)
         return out

@@ -121,8 +121,7 @@ def _history_writes(unit):
         if record["op"] == "insert":
             out.extend(row["did"] for row in record["rows"])
         else:
-            pairs = record.get("deltas", []) + record.get("updates", [])
-            out.extend(pk for pk, _ in pairs)
+            out.extend(pk for pk, _ in record.get("deltas", []))
             out.extend(record.get("set_pks", []))
     return out
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.storage.persist import load_database, save_database
+from repro.storage.wal import default_wal_path, recover_database
 
 from tests.conftest import make_blog_db
 
@@ -64,7 +65,7 @@ class TestCliLifecycle:
         assert "CliScrub(uid=2)" in out
         assert "disguise id: 1" in out
 
-        db = load_database(db_path)
+        db = recover_database(db_path)
         assert db.get("users", 2) is None
 
         code = run("history", "--db", db_path)
@@ -84,20 +85,21 @@ class TestCliLifecycle:
         assert code == 0
         assert "reveal CliScrub" in out
 
-        db = load_database(db_path)
+        db = recover_database(db_path)
         assert db.get("users", 2)["name"] == "Bea"
 
     def test_explain(self, workspace, capsys):
         db_path, spec_path, vault_dir = workspace
+        snapshot_before = db_path.read_bytes()
         code = run("explain", "--db", db_path, "--vault-dir", vault_dir,
                    "--spec", spec_path, "--uid", "2")
         out = capsys.readouterr().out
         assert code == 0
         assert "plan for 'CliScrub'" in out
         assert "decorrelate" in out
-        # explain must not have modified the snapshot
-        db = load_database(db_path)
-        assert db.get("users", 2) is not None
+        # explain is a dry run: it writes neither the snapshot nor a log
+        assert db_path.read_bytes() == snapshot_before
+        assert not default_wal_path(db_path).exists()
 
     def test_check_clean_and_violation(self, workspace, capsys, tmp_path):
         db_path, _, _ = workspace
@@ -130,6 +132,19 @@ class TestCliLifecycle:
                    "--spec", spec_path, "--did", "42")
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_write_to_missing_snapshot_errors_and_writes_nothing(
+        self, workspace, capsys, tmp_path
+    ):
+        _, spec_path, vault_dir = workspace
+        missing = tmp_path / "typo.jsonl"
+        code = run("apply", "--db", missing, "--vault-dir", vault_dir,
+                   "--spec", spec_path, "--uid", "2")
+        assert code == 1
+        assert "no database snapshot" in capsys.readouterr().err
+        assert run("checkpoint", "--db", missing) == 1
+        assert "no database snapshot" in capsys.readouterr().err
+        assert not missing.exists() and not default_wal_path(missing).exists()
 
     def test_empty_history(self, workspace, capsys):
         db_path, _, _ = workspace
@@ -174,12 +189,10 @@ class TestCliLifecycle:
 
 class TestCliWalMode:
     def test_wal_apply_defers_snapshot_rewrite(self, workspace, capsys):
-        from repro.storage.wal import default_wal_path
-
         db_path, spec_path, vault_dir = workspace
         snapshot_before = db_path.read_bytes()
         code = run("apply", "--db", db_path, "--vault-dir", vault_dir,
-                   "--spec", spec_path, "--uid", "2", "--wal")
+                   "--spec", spec_path, "--uid", "2")
         assert code == 0
         assert "CliScrub(uid=2)" in capsys.readouterr().out
         # The delta went to the log; the snapshot was not rewritten.
@@ -189,7 +202,7 @@ class TestCliWalMode:
     def test_readers_recover_through_pending_wal(self, workspace, capsys):
         db_path, spec_path, vault_dir = workspace
         run("apply", "--db", db_path, "--vault-dir", vault_dir,
-            "--spec", spec_path, "--uid", "2", "--wal")
+            "--spec", spec_path, "--uid", "2")
         capsys.readouterr()
         code = run("history", "--db", db_path)
         out = capsys.readouterr().out
@@ -198,12 +211,11 @@ class TestCliWalMode:
         assert "ok:" in capsys.readouterr().out
 
     def test_checkpoint_folds_wal_into_snapshot(self, workspace, capsys):
-        from repro.storage.persist import load_database
-        from repro.storage.wal import WriteAheadLog, default_wal_path
+        from repro.storage.wal import WriteAheadLog
 
         db_path, spec_path, vault_dir = workspace
         run("apply", "--db", db_path, "--vault-dir", vault_dir,
-            "--spec", spec_path, "--uid", "2", "--wal")
+            "--spec", spec_path, "--uid", "2")
         capsys.readouterr()
         code = run("checkpoint", "--db", db_path)
         out = capsys.readouterr().out
@@ -214,85 +226,26 @@ class TestCliWalMode:
 
     def test_wal_reveal_round_trip(self, workspace, capsys):
         db_path, spec_path, vault_dir = workspace
+        snapshot_before = db_path.read_bytes()
         run("apply", "--db", db_path, "--vault-dir", vault_dir,
-            "--spec", spec_path, "--uid", "2", "--wal", "--fsync", "always")
+            "--spec", spec_path, "--uid", "2", "--fsync", "always")
         capsys.readouterr()
         code = run("reveal", "--db", db_path, "--vault-dir", vault_dir,
-                   "--spec", spec_path, "--did", "1", "--wal")
+                   "--spec", spec_path, "--did", "1")
         assert code == 0
         assert "reveal CliScrub" in capsys.readouterr().out
+        assert db_path.read_bytes() == snapshot_before
         code = run("checkpoint", "--db", db_path)
         capsys.readouterr()
         assert code == 0
-        from repro.storage.persist import load_database
-
         assert load_database(db_path).get("users", 2)["name"] == "Bea"
-
-    def test_non_wal_write_performs_implicit_checkpoint(self, workspace, capsys):
-        from repro.storage.persist import load_database
-        from repro.storage.wal import default_wal_path
-
-        db_path, spec_path, vault_dir = workspace
-        run("apply", "--db", db_path, "--vault-dir", vault_dir,
-            "--spec", spec_path, "--uid", "2", "--wal")
-        capsys.readouterr()
-        # A plain (non --wal) write folds the pending log and removes it,
-        # so the two modes can be mixed without double-replay.
-        code = run("apply", "--db", db_path, "--vault-dir", vault_dir,
-                   "--spec", spec_path, "--uid", "3")
-        capsys.readouterr()
-        assert code == 0
-        assert not default_wal_path(db_path).exists()
-        db = load_database(db_path)
-        assert db.get("users", 2) is None and db.get("users", 3) is None
-
-    def test_non_wal_write_is_atomic_and_supersedes_stale_wal(
-        self, workspace, capsys, monkeypatch
-    ):
-        """The implicit checkpoint's crash discipline: the snapshot is
-        installed via rename (never rewritten in place), with a generation
-        stamp past the pending log's — so if the crash lands between the
-        install and the unlink, the surviving stale log is skipped by
-        recovery instead of replaying over the new snapshot."""
-        from pathlib import Path
-
-        from repro.storage.persist import load_database, read_snapshot_generation
-        from repro.storage.wal import default_wal_path, recover_database
-
-        db_path, spec_path, vault_dir = workspace
-        run("apply", "--db", db_path, "--vault-dir", vault_dir,
-            "--spec", spec_path, "--uid", "2", "--wal", "--fsync", "always")
-        capsys.readouterr()
-        stale_wal = default_wal_path(db_path).read_bytes()
-
-        # Simulate the crash window: make the unlink a no-op.
-        monkeypatch.setattr(Path, "unlink", lambda self, missing_ok=False: None)
-        code = run("apply", "--db", db_path, "--vault-dir", vault_dir,
-                   "--spec", spec_path, "--uid", "3")
-        monkeypatch.undo()
-        capsys.readouterr()
-        assert code == 0
-        wal_path = default_wal_path(db_path)
-        assert wal_path.exists() and wal_path.read_bytes() == stale_wal
-        # No leftover temp file from the atomic install.
-        assert not db_path.with_suffix(db_path.suffix + ".tmp").exists()
-        assert read_snapshot_generation(db_path) > 0
-        # Recovery reads through the stale log without double-applying.
-        db = recover_database(db_path)
-        assert db.get("users", 2) is None and db.get("users", 3) is None
-        db.assert_integrity()
-        # And a later WAL write resets the stale log and keeps going.
-        code = run("apply", "--db", db_path, "--vault-dir", vault_dir,
-                   "--spec", spec_path, "--uid", "4", "--wal")
-        capsys.readouterr()
-        assert code == 0
-        assert recover_database(db_path).get("users", 4) is None
 
 
 class TestCliService:
     def test_submit_serve_jobs_round_trip(self, workspace, capsys):
         """submit queues durably, serve drains with workers, jobs reports."""
         db_path, spec_path, vault_dir = workspace
+        snapshot_before = db_path.read_bytes()
 
         for uid in ("2", "3"):
             code = run("submit", "--db", db_path, "apply",
@@ -306,7 +259,7 @@ class TestCliService:
         assert out.count('"state": "pending"') == 2
 
         code = run("serve", "--db", db_path, "--vault-dir", vault_dir,
-                   "--spec", spec_path, "--workers", "2", "--wal")
+                   "--spec", spec_path, "--workers", "2")
         out = capsys.readouterr().out
         assert code == 0
         metrics = json.loads(out)
@@ -319,7 +272,7 @@ class TestCliService:
         assert out.count('"state": "done"') == 2
         dids = [json.loads(line)["result"]["did"] for line in out.splitlines()]
 
-        from repro.storage.wal import recover_database
+        assert db_path.read_bytes() == snapshot_before
         db = recover_database(db_path)
         assert db.get("users", 2) is None and db.get("users", 3) is None
         db.assert_integrity()
@@ -330,7 +283,7 @@ class TestCliService:
                        "--did", str(did)) == 0
         capsys.readouterr()
         code = run("serve", "--db", db_path, "--vault-dir", vault_dir,
-                   "--spec", spec_path, "--workers", "2", "--wal")
+                   "--spec", spec_path, "--workers", "2")
         capsys.readouterr()
         assert code == 0
         db = recover_database(db_path)

@@ -8,7 +8,7 @@ from repro.core.engine import Disguiser
 from repro.obs import disable_tracing, enable_tracing, TRACER
 from repro.service.server import DisguiseService
 from repro.storage.persist import save_database
-from repro.storage.wal import open_in_place
+from repro.storage.wal import WalDatabase
 from repro.vault.file_vault import FileVault
 
 from tests.conftest import make_blog_db
@@ -34,7 +34,7 @@ class TestLegacySurfacesResolveThroughRegistry:
     def test_wal_counters_surface_as_wal_gauges(self, tmp_path):
         snapshot = tmp_path / "app.jsonl"
         save_database(make_blog_db(), snapshot)
-        with open_in_place(snapshot, fsync="always") as handle:
+        with WalDatabase(snapshot, fsync="always") as handle:
             db = handle.db
             db.update_where("users", "id = 1", {"name": "x"})
             view = db.metrics()
@@ -92,7 +92,7 @@ class TestApplySpanTree:
             ),
             snapshot,
         )
-        with open_in_place(snapshot, fsync="always") as handle:
+        with WalDatabase(snapshot, fsync="always") as handle:
             engine = Disguiser(
                 handle.db, vault=FileVault(tmp_path / "vaults")
             )

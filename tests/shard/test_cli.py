@@ -37,11 +37,10 @@ def submit(dep, uid):
     ]) == 0
 
 
-def serve(dep, shards=2, extra=()):
+def serve(dep, shards=2):
     return main([
         "serve", "--db", dep["db"], "--vault-dir", dep["vaults"],
         "--spec", dep["spec"], "--workers", "2", "--shards", str(shards),
-        *extra,
     ])
 
 
@@ -64,10 +63,6 @@ class TestServeSharded:
         db = load_database(deployment["db"])
         assert db.get("users", 1)["email"] is None
         assert db.check_integrity() == []
-
-    def test_wal_flag_conflicts(self, deployment, capsys):
-        assert serve(deployment, extra=("--wal",)) == 1
-        assert "mutually exclusive" in capsys.readouterr().err
 
     def test_shard_count_pinned_by_map(self, deployment, capsys):
         assert serve(deployment, shards=2) == 0

@@ -25,8 +25,8 @@ from repro.errors import StorageError
 from repro.storage.persist import save_database
 from repro.storage.wal import (
     WalCorruptionError,
+    WalDatabase,
     default_wal_path,
-    open_in_place,
     recover_database,
 )
 
@@ -79,7 +79,7 @@ def workload(tmp_path):
     db.insert_many("posts", [{"id": i, "user_id": 1 + i % 4, "title": f"p{i}"} for i in range(1, 9)])
     save_database(db, snap)
 
-    handle = open_in_place(snap, fsync="always")
+    handle = WalDatabase(snap, fsync="always")
     live = handle.db
     states = [contents(live)]  # state after 0 commits
 
@@ -201,7 +201,7 @@ class TestReopenAfterCrash:
             shutil.copy(snap, crash_snap)
             crash_wal.write_bytes(blob[:cut])
             expected_commits = sum(1 for end in commit_ends if end <= cut)
-            with open_in_place(crash_snap, fsync="always") as handle:
+            with WalDatabase(crash_snap, fsync="always") as handle:
                 assert contents(handle.db) == states[expected_commits]
                 handle.db.insert(
                     "users", {"id": 99, "name": "post-crash", "email": "pc@x"}
@@ -232,7 +232,7 @@ class TestReopenAfterCrash:
         shutil.copy(snap, crash_snap)
         crash_wal = default_wal_path(crash_snap)
         crash_wal.write_bytes(blob[: stmt_ends[-1]])
-        with open_in_place(crash_snap, fsync="always") as handle:
+        with WalDatabase(crash_snap, fsync="always") as handle:
             handle.db.update_by_pk("users", 1, {"name": "sealed"})
         recovered = recover_database(crash_snap)
         assert recovered.get("users", 1)["name"] == "sealed"
@@ -246,7 +246,7 @@ class TestReopenAfterCrash:
         from repro.storage.persist import save_database_atomic
 
         snap, wal_path, states = workload
-        handle = open_in_place(snap, fsync="always")
+        handle = WalDatabase(snap, fsync="always")
         expected = contents(handle.db)
         # First half of checkpoint(): install the snapshot, bump the stamp —
         # then "crash" before wal.truncate() runs.
@@ -257,7 +257,7 @@ class TestReopenAfterCrash:
         assert contents(recovered) == expected
         recovered.assert_integrity()
         # Reopening for writes resets the stale log and keeps working.
-        with open_in_place(snap, fsync="always") as handle2:
+        with WalDatabase(snap, fsync="always") as handle2:
             assert contents(handle2.db) == expected
             handle2.db.insert("users", {"id": 77, "name": "after", "email": "a@x"})
         assert recover_database(snap).get("users", 77) is not None
@@ -266,7 +266,7 @@ class TestReopenAfterCrash:
         """A log stamped with a generation the snapshot never reached means
         the log's base snapshot is gone: corruption, not a crash artifact."""
         snap, wal_path, _states = workload
-        handle = open_in_place(snap)
+        handle = WalDatabase(snap)
         handle.checkpoint()  # snapshot gen 1, log gen 1
         handle.db.insert("users", {"id": 60, "name": "x", "email": "x@x"})
         handle.close()
@@ -292,7 +292,7 @@ class TestAckedDurability:
         shutil.copy(snap, crash_snap)
         crash_wal = default_wal_path(crash_snap)
 
-        handle = open_in_place(snap, fsync="always")
+        handle = WalDatabase(snap, fsync="always")
         wal_path = default_wal_path(snap)
         for i in range(2, 12):
             handle.db.insert("users", {"id": i, "name": f"u{i}", "email": f"{i}@x"})

@@ -17,7 +17,6 @@ from repro.storage.wal import (
     WalDatabase,
     WriteAheadLog,
     default_wal_path,
-    open_in_place,
     recover_database,
 )
 
@@ -95,7 +94,7 @@ def wal_scrub_spec():
 
 class TestRedoMirror:
     def test_committed_statements_replay_exactly(self, snap):
-        with open_in_place(snap, fsync="always") as handle:
+        with WalDatabase(snap, fsync="always") as handle:
             db = handle.db
             with db.transaction():
                 db.update_where("posts", "user_id = 1", {"title": "redacted"})
@@ -106,7 +105,7 @@ class TestRedoMirror:
         assert contents(recover_database(snap)) == expected
 
     def test_rolled_back_transaction_leaves_no_trace(self, snap):
-        with open_in_place(snap) as handle:
+        with WalDatabase(snap) as handle:
             db = handle.db
             db.begin()
             db.insert("users", {"id": 50, "name": "ghost", "email": "g@x"})
@@ -118,7 +117,7 @@ class TestRedoMirror:
         assert contents(recovered) == expected
 
     def test_nested_savepoints(self, snap):
-        with open_in_place(snap, fsync="always") as handle:
+        with WalDatabase(snap, fsync="always") as handle:
             db = handle.db
             db.begin()
             db.insert("users", {"id": 20, "name": "outer", "email": "o@x"})
@@ -137,24 +136,24 @@ class TestRedoMirror:
         assert contents(recovered) == expected
 
     def test_cascading_delete_replays(self, snap):
-        with open_in_place(snap, fsync="always") as handle:
+        with WalDatabase(snap, fsync="always") as handle:
             db = handle.db
             db.delete_by_pk("users", 1)  # cascades into posts
             expected = contents(db)
         assert contents(recover_database(snap)) == expected
 
     def test_autocommit_outside_transaction(self, snap):
-        with open_in_place(snap) as handle:
+        with WalDatabase(snap) as handle:
             handle.db.insert("users", {"id": 30, "name": "auto", "email": "a@x"})
         assert recover_database(snap).get("users", 30) is not None
 
     def test_blob_values_round_trip(self, snap):
-        with open_in_place(snap, fsync="always") as handle:
+        with WalDatabase(snap, fsync="always") as handle:
             handle.db.update_by_pk("users", 2, {"avatar": b"\x00\xff\x10"})
         assert recover_database(snap).get("users", 2)["avatar"] == b"\x00\xff\x10"
 
     def test_pk_change_replays(self, snap):
-        with open_in_place(snap) as handle:
+        with WalDatabase(snap) as handle:
             db = handle.db
             db.delete_where("posts", "user_id = 3")
             db.update_by_pk("users", 3, {"id": 300})
@@ -165,7 +164,7 @@ class TestRedoMirror:
         from repro.storage.schema import Column, TableSchema
         from repro.storage.types import ColumnType
 
-        with open_in_place(snap) as handle:
+        with WalDatabase(snap) as handle:
             db = handle.db
             db.begin()
             db.create_table(
@@ -186,7 +185,7 @@ class TestRedoMirror:
         from repro.storage.schema import Column, TableSchema
         from repro.storage.types import ColumnType
 
-        with open_in_place(snap) as handle:
+        with WalDatabase(snap) as handle:
             db = handle.db
             with db.transaction():
                 db.create_table(
@@ -211,7 +210,7 @@ class TestRedoMirror:
         from repro.storage.schema import Column, TableSchema
         from repro.storage.types import ColumnType
 
-        with open_in_place(snap) as handle:
+        with WalDatabase(snap) as handle:
             db = handle.db
             db.begin()
             db.create_table(
@@ -228,7 +227,7 @@ class TestRedoMirror:
         assert contents(recovered) == expected
 
     def test_id_watermark_restored(self, snap):
-        with open_in_place(snap) as handle:
+        with WalDatabase(snap) as handle:
             db = handle.db
             allocated = db.next_id("users")
             db.insert("users", {"id": allocated, "name": "hi", "email": "h@x"})
@@ -240,7 +239,7 @@ class TestRedoMirror:
         from repro.vault.file_vault import FileVault
 
         spec = wal_scrub_spec()
-        with open_in_place(snap, fsync="always") as handle:
+        with WalDatabase(snap, fsync="always") as handle:
             engine = Disguiser(handle.db, vault=FileVault(tmp_path / "v"), seed=5)
             engine.apply(spec, uid=2)
             expected = contents(handle.db)
@@ -272,7 +271,7 @@ class TestRedoMirror:
             )
             path = tmp_path / f"app-{n_bystanders}.jsonl"
             save_database(db, path)
-            with open_in_place(path, fsync="batch") as handle:
+            with WalDatabase(path, fsync="batch") as handle:
                 Disguiser(handle.db, seed=5).apply(wal_scrub_spec(), uid=2)
                 return handle.wal.bytes_written, path.stat().st_size
 
@@ -287,13 +286,13 @@ class TestGroupCommit:
         for policy, expect in (("always", lambda s: s >= 5), ("never", lambda s: s == 0)):
             wal_path = default_wal_path(snap)
             wal_path.unlink(missing_ok=True)
-            with open_in_place(snap, fsync=policy) as handle:
+            with WalDatabase(snap, fsync=policy) as handle:
                 for i in range(5):
                     handle.db.update_by_pk("users", 1, {"name": f"v{i}"})
                 assert expect(handle.wal.syncs), (policy, handle.wal.syncs)
 
     def test_batch_policy_groups_syncs(self, snap):
-        with open_in_place(snap, fsync="batch", batch_commits=4) as handle:
+        with WalDatabase(snap, fsync="batch", batch_commits=4) as handle:
             for i in range(8):
                 handle.db.update_by_pk("users", 1, {"name": f"v{i}"})
             assert handle.wal.syncs == 2
@@ -301,10 +300,10 @@ class TestGroupCommit:
 
     def test_bad_policy_rejected(self, snap):
         with pytest.raises(StorageError):
-            open_in_place(snap, fsync="sometimes")
+            WalDatabase(snap, fsync="sometimes")
 
     def test_commit_units_accumulate(self, snap):
-        with open_in_place(snap) as handle:
+        with WalDatabase(snap) as handle:
             db = handle.db
             with db.transaction():
                 db.update_by_pk("users", 1, {"name": "a"})
@@ -316,7 +315,7 @@ class TestGroupCommit:
 
 class TestCheckpoint:
     def test_checkpoint_truncates_and_preserves_state(self, snap):
-        handle = open_in_place(snap)
+        handle = WalDatabase(snap)
         handle.db.insert("users", {"id": 40, "name": "ck", "email": "c@x"})
         wal_path = default_wal_path(snap)
         before = wal_path.stat().st_size
@@ -330,7 +329,7 @@ class TestCheckpoint:
         assert recovered.get("users", 41) is not None
 
     def test_checkpoint_mid_transaction_rejected(self, snap):
-        with open_in_place(snap) as handle:
+        with WalDatabase(snap) as handle:
             handle.db.begin()
             with pytest.raises(StorageError):
                 handle.checkpoint()
@@ -347,7 +346,7 @@ class TestCheckpoint:
 class TestBootstrap:
     def test_recover_without_snapshot_bootstraps_from_ddl(self, tmp_path):
         snap = tmp_path / "new.jsonl"
-        with open_in_place(snap) as handle:
+        with WalDatabase(snap) as handle:
             for table_schema in parse_schema(DDL):
                 handle.db.create_table(table_schema)
             handle.db.insert("users", {"id": 1, "name": "first", "email": "f@x"})

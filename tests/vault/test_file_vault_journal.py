@@ -163,40 +163,22 @@ class TestCompaction:
 
 
 class TestLegacyFilenames:
-    """Regression: percent-encoded filenames must not orphan vaults
-    written by the pre-encoding layout (raw owner tokens like '@' or '%'
-    in the filename)."""
+    """Owner filenames are percent-encoded tokens; a file named by the raw
+    owner token (the layout before the encoding) is not read."""
 
-    def legacy_file(self, tmp_path, owner):
-        path = tmp_path / f"owner-{owner}.jsonl"
-        path.write_text(entry(1, owner=owner).to_json() + "\n")
-        return path
-
-    def test_legacy_raw_token_journal_is_migrated_on_read(self, tmp_path):
-        legacy = self.legacy_file(tmp_path, "user@example.com")
+    def test_owners_round_trip_through_filenames(self, tmp_path):
+        owners = [7, "007", "50%off", "a/b"]
         vault = FileVault(tmp_path)
-        got = vault.entries_for("user@example.com")
-        assert [e.entry_id for e in got] == [1]
-        # Migrated in place: the raw-token file became the encoded one.
-        assert not legacy.exists()
-        assert (tmp_path / "owner-user%40example.com.jsonl").exists()
-
-    def test_legacy_journal_accepts_new_writes(self, tmp_path):
-        self.legacy_file(tmp_path, "a b:c")
-        vault = FileVault(tmp_path)
-        vault.put(entry(2, owner="a b:c"))
+        for entry_id, owner in enumerate(owners, 1):
+            vault.put(entry(entry_id, owner=owner))
+        (tmp_path / "owner-user@example.com.jsonl").write_text(
+            entry(9, owner="user@example.com").to_json() + "\n"
+        )
         fresh = FileVault(tmp_path)
-        assert {e.entry_id for e in fresh.entries_for("a b:c")} == {1, 2}
-        assert fresh.owners() == ["a b:c"]
-
-    def test_owners_does_not_unquote_legacy_percent_tokens(self, tmp_path):
-        """A pre-encoding owner containing '%' must come back verbatim."""
-        self.legacy_file(tmp_path, "50%off")
-        vault = FileVault(tmp_path)
-        assert vault.owners() == ["50%off"]
-        assert [e.entry_id for e in vault.entries_for("50%off")] == [1]
-        # After migration the encoded name round-trips too.
-        assert FileVault(tmp_path).owners() == ["50%off"]
+        listed = fresh.owners()
+        assert sorted(listed, key=repr) == sorted(owners, key=repr)
+        for entry_id, owner in enumerate(owners, 1):
+            assert [e.entry_id for e in fresh.entries_for(owner)] == [entry_id]
 
     def test_encoded_and_plain_owners_coexist(self, tmp_path):
         vault = FileVault(tmp_path)
