@@ -164,19 +164,6 @@ class SpecRunner:
             payload=payload,
         )
 
-    def _vault_entry(
-        self,
-        table_disguise: TableDisguise,
-        row: Mapping[str, Any],
-        op: str,
-        payload: dict[str, Any],
-        owner: Any = None,
-    ) -> None:
-        entry = self._entry_for(table_disguise, row, op, payload, owner)
-        if entry is not None:
-            self.journal.put(entry)
-            self.report.vault_entries_written += 1
-
     def _emit(self, entries: list[VaultEntry]) -> None:
         """Store a batch of vault entries with one vault append.
 

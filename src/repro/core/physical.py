@@ -481,59 +481,24 @@ class OpExecutor:
             for row, placeholder in zip(rows, placeholders)
         ]
 
-    def collect_removal_set(self, table: str, pk: Any) -> list[tuple[str, dict[str, Any], str]]:
-        """The rows deleting (table, pk) will affect, children first.
+    def collect_removal_set_many(
+        self, table: str, pks: list[Any]
+    ) -> list[tuple[str, Any, str]]:
+        """The rows deleting (table, pk) for each pk in *pks* will affect,
+        children first.
 
         Each item is ``(table, row, action)`` where action is ``"remove"``
-        for the row itself and for CASCADE children, or ``"setnull:<col>"``
+        for a root row and for CASCADE children, or ``"setnull:<col>"``
         for SET NULL children. The engine vaults each affected row so the
         removal is fully reversible — a plain SQL cascade would lose them.
         RESTRICT children are *not* collected; the delete will fail and
         surface the spec gap, as intended.
-        """
-        out: list[tuple[str, dict[str, Any], str]] = []
-        self._collect_removal(table, pk, out, seen=set())
-        return out
 
-    def _collect_removal(
-        self,
-        table: str,
-        pk: Any,
-        out: list[tuple[str, dict[str, Any], str]],
-        seen: set[tuple[str, Any]],
-    ) -> None:
-        if (table, pk) in seen:
-            return
-        seen.add((table, pk))
-        row = self.db.get(table, pk)
-        if row is None:
-            return
-        for child_schema, fk in self.schema.referencing(table):
-            child_rows = self.db.select(
-                child_schema.name, f"{fk.column} = $V", {"V": pk}
-            )
-            for child_row in child_rows:
-                if fk.on_delete is FKAction.CASCADE:
-                    self._collect_removal(
-                        child_schema.name, child_row[child_schema.primary_key], out, seen
-                    )
-                elif fk.on_delete is FKAction.SET_NULL:
-                    out.append((child_schema.name, child_row, f"setnull:{fk.column}"))
-                # RESTRICT: leave it; the delete will raise if the spec
-                # failed to address the child table.
-        out.append((table, row, "remove"))
-
-    def collect_removal_set_many(
-        self, table: str, pks: list[Any]
-    ) -> list[tuple[str, Any, str]]:
-        """Removal sets for many roots at once, children first.
-
-        Same contract as :meth:`collect_removal_set`, but the FK graph is
-        walked level-by-level with one IN-list select per referencing table
-        per level (index-accelerated by the planner), so collecting N roots
-        issues O(depth × tables) statements instead of O(N). Rows affected
-        by several roots appear once; all removes of one table are
-        contiguous, which lets the caller batch the deletes.
+        The FK graph is walked level-by-level with one IN-list select per
+        referencing table per level (index-accelerated by the planner), so
+        collecting N roots issues O(depth × tables) statements instead of
+        O(N). Rows affected by several roots appear once; all removes of
+        one table are contiguous, which lets the caller batch the deletes.
         """
         out: list[tuple[str, Any, str]] = []
         self._collect_removal_batch(table, pks, out, seen=set())

@@ -43,11 +43,10 @@ from repro.shard.router import (
     ROOT,
     SYSTEM,
     Router,
-    _conjuncts,
 )
 from repro.simtest.clock import resolve_clock
 from repro.spec.disguise import USER_PARAM, DisguiseSpec
-from repro.storage.predicate import ColumnRef, Comparison, Param
+from repro.storage.predicate import ColumnRef, Comparison, Param, conjuncts
 
 __all__ = [
     "ShardGroupWal",
@@ -60,7 +59,7 @@ __all__ = [
 
 def _pins_anchor_to_uid(pred: Any, anchor: str) -> bool:
     """True if a top-level conjunct is ``anchor = $UID``."""
-    for node in _conjuncts(pred):
+    for node in conjuncts(pred):
         if not (isinstance(node, Comparison) and node.op == "="):
             continue
         left, right = node.left, node.right

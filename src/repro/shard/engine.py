@@ -517,27 +517,6 @@ class ShardedDatabase:
         indices = self._route_read(table, where, params)
         return sum(self.shards[i].count(table, where, params) for i in indices)
 
-    def explain(
-        self,
-        table: str,
-        where: str | Predicate | None = None,
-        params: Mapping[str, Any] | None = None,
-        analyze: bool = False,
-    ) -> Any:
-        """EXPLAIN against the routed shard(s).
-
-        A single-shard route returns that shard's report. A scatter runs
-        EXPLAIN on every shard (so ANALYZE advances diagnostics exactly
-        like the scatter it models) and returns the report of the shard
-        holding the most rows — per-shard plans are identical in shape.
-        """
-        indices = self._route_read(table, where, params)
-        reports = [(i, self.shards[i].explain(table, where, params, analyze)) for i in indices]
-        if len(reports) == 1:
-            return reports[0][1]
-        largest = max(reports, key=lambda pair: len(self.shards[pair[0]].table(table)))
-        return largest[1]
-
     # -- writes ------------------------------------------------------------------
 
     def _shard_for_new_row(self, table: str, row: Mapping[str, Any]) -> int:

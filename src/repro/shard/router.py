@@ -32,10 +32,18 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.errors import ShardError
-from repro.storage.predicate import And, ColumnRef, Comparison, InList, Literal, Param, Predicate
+from repro.storage.predicate import (
+    ColumnRef,
+    Comparison,
+    InList,
+    Literal,
+    Param,
+    Predicate,
+    conjuncts,
+)
 from repro.storage.schema import Schema, TableSchema
 
 __all__ = [
@@ -341,7 +349,7 @@ class Router:
         if placement.kind not in (ROOT, DIRECT) or pred is None:
             return None
         anchor = placement.anchor
-        for node in _conjuncts(pred):
+        for node in conjuncts(pred):
             values = _anchor_eq_values(node, anchor, params)
             if values is not None:
                 return [v for v in values if v is not None]
@@ -363,7 +371,7 @@ class Router:
         ts = self.analyzer.schema.table(table)
         if pred is None:
             return None
-        for node in _conjuncts(pred):
+        for node in conjuncts(pred):
             values = _anchor_eq_values(node, ts.primary_key, params)
             if values is not None:
                 return [v for v in values if v is not None]
@@ -408,17 +416,6 @@ class Router:
                 )
                 return "single", (shards or [0])
         return "scatter", list(range(self.n_shards))
-
-
-def _conjuncts(pred: Predicate) -> Iterable[Predicate]:
-    stack = [pred]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, And):
-            stack.append(node.left)
-            stack.append(node.right)
-        else:
-            yield node
 
 
 def _resolve(value: Any, params: Mapping[str, Any] | None) -> tuple[bool, Any]:

@@ -32,16 +32,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 from repro.errors import SpecError
 from repro.storage.database import Database
-from repro.storage.predicate import (
-    And,
-    ColumnRef,
-    Comparison,
-    FalseP,
-    IsNull,
-    Literal,
-    Or,
-    Predicate,
-)
+from repro.storage.predicate import ColumnRef, FalseP, InList, Literal, Predicate
 
 __all__ = [
     "QuasiGroup",
@@ -98,19 +89,6 @@ def k_anonymity_violations(
     ]
 
 
-def _group_predicate(columns: list[str], key: tuple[Any, ...]) -> Predicate:
-    parts: list[Predicate] = []
-    for column, value in zip(columns, key):
-        if value is None:
-            parts.append(IsNull(ColumnRef(column)))
-        else:
-            parts.append(Comparison("=", ColumnRef(column), Literal(value)))
-    pred = parts[0]
-    for part in parts[1:]:
-        pred = And(pred, part)
-    return pred
-
-
 def k_anonymity_predicate(
     db: Database, table: str, quasi_identifiers: Iterable[str], k: int
 ) -> Predicate:
@@ -127,8 +105,6 @@ def k_anonymity_predicate(
     first Modify in the spec. Returns an always-false predicate when the
     table is already k-anonymous, so the transformation is a clean no-op.
     """
-    from repro.storage.predicate import InList
-
     columns = list(quasi_identifiers)
     violations = k_anonymity_violations(db, table, columns, k)
     if not violations:

@@ -3,7 +3,8 @@
 The paper's vault discussion (§4.2) includes offline-storage deployment
 models; this module provides the serialization layer those vaults and the
 disguise history log build on. The format is line-oriented JSON: one header
-line per table (schema), then one line per row.
+line (format version, table names, each table's id watermark), then per
+table one schema line followed by one line per row.
 
 BLOB values are hex-encoded; DATETIME values are stored as floats. The
 format round-trips every canonical value type exactly.
@@ -30,7 +31,9 @@ __all__ = [
     "load_rows",
 ]
 
-_FORMAT_VERSION = 1
+# Version 2 added the per-table id watermarks (``Database.next_id`` never
+# recycles an id, across a reload too).
+_FORMAT_VERSION = 2
 
 
 def _encode_value(value: Any) -> Any:
@@ -109,6 +112,7 @@ def save_database(
         header: dict[str, Any] = {
             "version": _FORMAT_VERSION,
             "tables": list(db.table_names),
+            "id_watermark": dict(db._id_watermark),
         }
         if generation is not None:
             header["generation"] = generation
@@ -181,9 +185,15 @@ def load_database(path: str | Path, verify: bool = True) -> Database:
         first = handle.readline()
         if not first:
             raise StorageError(f"{path}: empty snapshot")
-        header = json.loads(first)
-        if "$header" not in header or header["$header"].get("version") != _FORMAT_VERSION:
-            raise StorageError(f"{path}: not a v{_FORMAT_VERSION} snapshot")
+        record = json.loads(first)
+        if not isinstance(record, dict) or "$header" not in record:
+            raise StorageError(f"{path}: not a snapshot")
+        header = record["$header"]
+        if header.get("version") != _FORMAT_VERSION:
+            raise StorageError(
+                f"{path}: snapshot format version {header.get('version')!r}, "
+                f"this release reads only version {_FORMAT_VERSION}"
+            )
         for line in handle:
             record = json.loads(line)
             if "$table" in record:
@@ -196,6 +206,7 @@ def load_database(path: str | Path, verify: bool = True) -> Database:
             else:
                 raise StorageError(f"{path}: unrecognized record {record!r}")
     db = Database(Schema(tables))
+    db._id_watermark.update(header["id_watermark"])
     for name, rows in rows_by_table.items():
         # Bypass statement-level FK checks during bulk load (file order may
         # interleave children before parents); verify integrity at the end.

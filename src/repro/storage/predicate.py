@@ -41,6 +41,7 @@ __all__ = [
     "Expr",
     "Assignment",
     "SetClause",
+    "conjuncts",
     "like_regex",
 ]
 
@@ -540,6 +541,23 @@ class Between(Predicate):
     def __str__(self) -> str:
         op = "NOT BETWEEN" if self.negated else "BETWEEN"
         return f"{self.expr} {op} {self.lo} AND {self.hi}"
+
+
+def conjuncts(pred: Predicate) -> list[Predicate]:
+    """The top-level AND operands of *pred*, left to right.
+
+    A row satisfies an AND only when every operand is TRUE, so each
+    conjunct can be tested, routed or pushed down on its own.
+    """
+    out: list[Predicate] = []
+    stack = [pred]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, And):
+            stack.extend((node.right, node.left))
+        else:
+            out.append(node)
+    return out
 
 
 def column_equals(column: str, value: Any) -> Comparison:

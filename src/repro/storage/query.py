@@ -15,24 +15,28 @@ Supported: projection (bare or ``table.column`` references, ``*``,
 full disguise-predicate grammar), multi-key ORDER BY with ASC/DESC (NULLs
 sort first), LIMIT/OFFSET, and ``$param`` binding throughout.
 
-Execution is a planned nested-loop join: the driving table is filtered
-first, and each JOIN probes the joined table's primary-key or FK hash
-index when the join key allows, falling back to a per-row scan otherwise.
-Joined rows form a namespace holding both ``alias.column`` keys and any
-unambiguous bare column names.
+Execution runs on the locked statement API, so application reads take
+the same table locks, plans and ``rows_examined`` accounting as any other
+statement. The WHERE clause's top-level AND conjuncts that name only the
+driving table go into one ``Database.select`` on it; each JOIN is then a
+``Database.get`` per row when it joins on the primary key, or a
+``Database.select`` of ``column = $k`` (planned like any equality)
+otherwise. The remaining conjuncts filter the joined rows, which form a
+namespace holding both ``alias.column`` keys and any unambiguous bare
+column names.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Any, Mapping
 
 from repro.errors import ParseError, StorageError, UnknownColumnError
 from repro.storage.compile import matcher
 from repro.storage.database import Database
-from repro.storage.predicate import Predicate
+from repro.storage.predicate import And, Predicate, conjuncts
 from repro.storage.sql import parse_where
 
 __all__ = ["Query", "parse_select", "run_select"]
@@ -140,17 +144,13 @@ _ON_RE = re.compile(
 )
 
 
+@lru_cache(maxsize=256)
 def parse_select(sql: str) -> Query:
     """Parse a SELECT statement into a :class:`Query`.
 
     Parses are LRU-cached by statement text; the returned Query is shared
     and must not be mutated (execution via :func:`run_select` only reads).
     """
-    return _parse_select_uncached(sql)
-
-
-@lru_cache(maxsize=256)
-def _parse_select_uncached(sql: str) -> Query:
     clauses = _split_clauses(sql.strip().rstrip(";"))
     query: Query | None = None
     pending_join: _Source | None = None
@@ -231,14 +231,15 @@ def _owner_of(ref: str, source: _Source) -> str | None:
 def run_select(db: Database, query: Query, params: Mapping[str, Any] | None = None):
     """Execute *query*; returns a row list, or an int for ``COUNT(*)``."""
     bound = params or {}
-    namespaces = _drive(db, query)
+    pushed, rest = _split_where(db, query)
+    namespaces = [
+        _namespace({}, row, query.source.alias)
+        for row in db.select(query.source.table, pushed, bound)
+    ]
     for join in query.joins:
-        namespaces = _join(db, namespaces, join, query)
-    if query.where is not None:
-        # Compiled once per (predicate, params) and applied per namespace —
-        # join outputs are filtered row-at-a-time, so the per-row win of
-        # the compiled form compounds (see repro.storage.compile).
-        match = matcher(query.where, bound)
+        namespaces = _join(db, namespaces, join)
+    if rest is not None:
+        match = matcher(rest, bound)
         namespaces = [ns for ns in namespaces if match(ns)]
     if query.count_star:
         return len(namespaces)
@@ -255,31 +256,37 @@ def run_select(db: Database, query: Query, params: Mapping[str, Any] | None = No
     return [_project(ns, query) for ns in namespaces]
 
 
-def _drive(db: Database, query: Query) -> list[dict[str, Any]]:
-    _count_select(db)
-    alias = query.source.alias
-    out = []
-    for row in db.table(query.source.table).rows():
-        out.append(_namespace({}, row, alias))
-    return out
+def _split_where(db: Database, query: Query) -> tuple[Predicate | None, Predicate | None]:
+    """(the driving table's WHERE conjuncts, unqualified; the rest).
 
-
-def _count_select(db: Database) -> None:
-    """Bump select/statement counters for one query stage.
-
-    Unlike ``Database`` statements, query stages bump ``db.stats``
-    directly rather than through the per-thread pending merge — so when a
-    lock hook is attached (concurrent service workers share the database)
-    the bump must hold the stats lock or increments are lost to races.
-    Single-threaded use keeps the lock-free fast path.
+    A conjunct is the driving table's when each of its columns is that
+    table's: qualified with its (unique) alias, or a bare name no joined
+    table also has. A row passes a top-level AND only if every conjunct
+    is TRUE, so pushing those conjuncts into the driving select is exact.
     """
-    if db._lock_hook is not None:
-        with db._stats_lock:
-            db.stats.selects += 1
-            db.stats.statements += 1
-    else:
-        db.stats.selects += 1
-        db.stats.statements += 1
+    if query.where is None:
+        return None, None
+    alias = query.source.alias
+    own = set(db.table(query.source.table).schema.column_names)
+    joined = set()
+    for join in query.joins:
+        joined.update(db.table(join.source.table).schema.column_names)
+    unique_alias = all(join.source.alias != alias for join in query.joins)
+
+    def local(ref: str) -> bool:
+        if "." in ref:
+            qualifier, column = ref.split(".", 1)
+            return unique_alias and qualifier == alias and column in own
+        return ref in own and ref not in joined
+
+    pushed, rest = [], []
+    for conj in conjuncts(query.where):
+        (pushed if all(map(local, conj.columns())) else rest).append(conj)
+    # Re-parsing the canonical rendering strips the alias qualifiers.
+    return (
+        parse_where(str(reduce(And, pushed))) if pushed else None,
+        reduce(And, rest) if rest else None,
+    )
 
 
 def _namespace(base: dict[str, Any], row: Mapping[str, Any], alias: str) -> dict[str, Any]:
@@ -298,37 +305,29 @@ def _namespace(base: dict[str, Any], row: Mapping[str, Any], alias: str) -> dict
 
 
 def _join(
-    db: Database,
-    namespaces: list[dict[str, Any]],
-    join: _Join,
-    query: Query,
+    db: Database, namespaces: list[dict[str, Any]], join: _Join
 ) -> list[dict[str, Any]]:
-    table = db.table(join.source.table)
+    """Index-nested-loop join through the locked statement API."""
+    table = join.source.table
+    schema = db.table(table).schema
     right_col = _owner_of(join.right, join.source)
-    if right_col is None or not table.schema.has_column(right_col):
+    if right_col is None or not schema.has_column(right_col):
         raise StorageError(
-            f"JOIN condition {join.right!r} does not name a column of "
-            f"{join.source.table!r}"
+            f"JOIN condition {join.right!r} does not name a column of {table!r}"
         )
-    use_index = table.has_indexed(right_col)
-    pk_col = table.schema.primary_key
+    by_pk = right_col == schema.primary_key
+    where = f"{right_col} = $k"
     out = []
-    _count_select(db)
     for ns in namespaces:
-        left_value = _lookup(ns, join.left)
-        if left_value is None:
+        key = _lookup(ns, join.left)
+        if key is None:
             continue  # NULL never joins
-        if right_col == pk_col:
-            match = table.view(left_value)
-            matches = [match] if match is not None else []
-        elif use_index:
-            matches = table.referencing_rows(right_col, left_value)
+        if by_pk:
+            row = db.get(table, key)
+            matches = [row] if row is not None else []
         else:
-            matches = [
-                row for row in table.rows() if row[right_col] == left_value
-            ]
-        for row in matches:
-            out.append(_namespace(ns, row, join.source.alias))
+            matches = db.select(table, where, {"k": key})
+        out.extend(_namespace(ns, row, join.source.alias) for row in matches)
     return out
 
 

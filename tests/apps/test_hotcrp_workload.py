@@ -5,8 +5,12 @@
 disguise.
 """
 
+import sys
+import threading
+
 import pytest
 
+from repro.apps.hotcrp.generate import generate_hotcrp
 from repro.apps.hotcrp.workload import (
     front_page,
     login,
@@ -14,6 +18,7 @@ from repro.apps.hotcrp.workload import (
     reviewer_dashboard,
     submit_review,
 )
+from repro.service.locks import LockHook, LockManager
 
 SUBJECT = 3  # PC member in the mini fixture
 
@@ -122,3 +127,68 @@ class TestAfterConfAnon:
         engine.apply("HotCRP-ConfAnon")
         submit_review(db, SUBJECT + 1, 2, merit=3, text="Fine.")
         assert db.check_integrity() == []
+
+
+class TestLockedReadPath:
+    """Application reads run on the locked statement API (Figure 1's
+    application queries beside a disguising tool)."""
+
+    @pytest.fixture
+    def hotcrp(self):
+        db = generate_hotcrp()
+        reviewers = [row["contactId"] for row in db.select("ContactInfo") if row["roles"]]
+        return db, reviewers[3]
+
+    def test_reads_beside_a_writer_under_locks(self, hotcrp):
+        db, uid = hotcrp
+        expected = reviewer_dashboard(db, uid)
+        paper = expected["reviews"][0]["paperId"]
+        db.set_lock_hook(LockHook(LockManager()))
+        stop = threading.Event()
+        committed = []
+
+        def writer():
+            review_id = 10_000_000
+            while not stop.is_set():
+                review_id += 1
+                with db.transaction():
+                    db.insert("PaperReview", {
+                        "reviewId": review_id, "paperId": paper, "contactId": uid,
+                        "reviewType": 1, "reviewSubmitted": 1.0,
+                        "overAllMerit": 3, "reviewText": "transient",
+                    })
+                    db.delete_by_pk("PaperReview", review_id)
+                committed.append(review_id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        try:
+            for _ in range(200):
+                # The writer's row is inserted and deleted in one
+                # transaction, so no read ever sees it.
+                assert reviewer_dashboard(db, uid) == expected
+        finally:
+            stop.set()
+            thread.join(10.0)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert committed
+
+    def test_rows_examined_are_index_probes(self, hotcrp):
+        db, uid = hotcrp
+
+        def examined(op, *args):
+            before = db.metrics()["storage.rows_examined"]
+            result = op(db, *args)
+            return db.metrics()["storage.rows_examined"] - before, result
+
+        account = db.get("ContactInfo", uid)
+        count, session = examined(login, account["email"], account["password"])
+        assert session["contactId"] == uid
+        assert count == len(db.table("ContactInfo")) == 430  # email has no index
+        count, dashboard = examined(reviewer_dashboard, uid)
+        assert (len(dashboard["reviews"]), len(dashboard["preferences"])) == (47, 30)
+        # contactId probes on both tables; the Paper join is primary-key gets.
+        assert count == 47 + 30

@@ -138,3 +138,24 @@ class TestIntervalReapplication:
         assert blog_db.get("users", 3) is None
         engine.reveal(s3.disguise_id, check_integrity=True)
         assert snapshot(blog_db) == before
+
+
+class TestRevealAcrossReload:
+    def test_removed_id_not_reissued_after_reload(self, blog_db, tmp_path):
+        """A placeholder allocated after a reload must not take the id of a
+        removed row: the removal's reveal would then collide with it."""
+        from repro.storage.persist import load_database, save_database
+
+        before = snapshot(blog_db)
+        engine = Disguiser(blog_db)
+        deleted = engine.apply(blog_delete_spec(), uid=3)
+        path = tmp_path / "snap.jsonl"
+        save_database(blog_db, path)
+        reloaded = load_database(path)
+        engine = Disguiser(reloaded, vault=engine.vault)
+        scrubbed = engine.apply(blog_scrub_spec(), uid=1)
+        assert reloaded.get("users", 3) is None
+        engine.reveal(deleted.disguise_id)
+        assert reloaded.get("users", 3)["name"] == "Cal"
+        engine.reveal(scrubbed.disguise_id)
+        assert snapshot(reloaded) == before

@@ -240,6 +240,36 @@ class TestCliWalMode:
         assert code == 0
         assert load_database(db_path).get("users", 2)["name"] == "Bea"
 
+    def test_reveal_after_checkpoint_and_later_apply(self, workspace, capsys, tmp_path):
+        """A checkpointed snapshot keeps the id watermark, so a placeholder
+        made after it cannot take a removed user's id."""
+        db_path, spec_path, vault_dir = workspace
+        delete_doc = {
+            "disguise_name": "CliDelete",
+            "tables": {
+                name: {"transformations": [{"op": "remove", "pred": pred}]}
+                for name, pred in (
+                    ("users", "id = $UID"),
+                    ("posts", "user_id = $UID"),
+                    ("comments", "user_id = $UID"),
+                    ("follows", "follower_id = $UID OR followee_id = $UID"),
+                )
+            },
+        }
+        delete_path = tmp_path / "delete.json"
+        delete_path.write_text(json.dumps(delete_doc))
+        specs = ("--spec", spec_path, "--spec", delete_path)
+        assert run("apply", "--db", db_path, "--vault-dir", vault_dir, *specs,
+                   "--name", "CliDelete", "--uid", "3") == 0
+        assert run("checkpoint", "--db", db_path) == 0
+        assert run("apply", "--db", db_path, "--vault-dir", vault_dir, *specs,
+                   "--name", "CliScrub", "--uid", "1") == 0
+        assert run("reveal", "--db", db_path, "--vault-dir", vault_dir, *specs,
+                   "--did", "1") == 0
+        capsys.readouterr()
+        assert run("checkpoint", "--db", db_path) == 0
+        assert load_database(db_path).get("users", 3)["name"] == "Cal"
+
 
 class TestCliService:
     def test_submit_serve_jobs_round_trip(self, workspace, capsys):

@@ -78,10 +78,27 @@ class TestSaveLoad:
         with pytest.raises(StorageError):
             load_database(path)
 
+    def test_earlier_version_rejected_by_number(self, tmp_path):
+        path = tmp_path / "v1.jsonl"
+        path.write_text('{"$header": {"version": 1, "tables": []}}\n')
+        with pytest.raises(StorageError, match="version 1"):
+            load_database(path)
+
+    def test_id_watermark_survives_reload(self, blog_db, tmp_path):
+        """A deleted row's id is never handed out again, across a reload."""
+        blog_db.delete_by_pk("follows", 1001)
+        blog_db.delete_by_pk("comments", 103)
+        path = tmp_path / "snap.jsonl"
+        save_database(blog_db, path)
+        reloaded = load_database(path)
+        assert reloaded.next_id("comments") == 104
+        assert reloaded.next_id("follows") == 1002
+
     def test_unrecognized_record_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(
-            '{"$header": {"version": 1, "tables": []}}\n{"$bogus": 1}\n'
+            '{"$header": {"version": 2, "tables": [], "id_watermark": {}}}\n'
+            '{"$bogus": 1}\n'
         )
         with pytest.raises(StorageError):
             load_database(path)

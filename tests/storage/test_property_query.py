@@ -9,6 +9,8 @@ from repro.storage.query import parse_select
 from repro.storage.schema import Column, ForeignKey, Schema, TableSchema
 from repro.storage.types import ColumnType as T
 
+from tests.conftest import examples
+
 
 def make_db(users, posts) -> Database:
     schema = Schema(
@@ -53,7 +55,7 @@ posts_strategy = st.lists(
 )
 
 
-@settings(max_examples=60)
+@settings(max_examples=examples(60))
 @given(users=users_strategy, posts=posts_strategy, threshold=st.integers(-5, 5))
 def test_join_where_matches_reference(users, posts, threshold):
     db = make_db(users, posts)
@@ -73,7 +75,7 @@ def test_join_where_matches_reference(users, posts, threshold):
     assert got == expected
 
 
-@settings(max_examples=60)
+@settings(max_examples=examples(60))
 @given(users=users_strategy, posts=posts_strategy, limit=st.integers(0, 6),
        offset=st.integers(0, 4))
 def test_order_limit_offset_matches_reference(users, posts, limit, offset):
@@ -88,9 +90,43 @@ def test_order_limit_offset_matches_reference(users, posts, limit, offset):
     assert got == expected
 
 
-@settings(max_examples=60)
+@settings(max_examples=examples(60))
 @given(users=users_strategy, posts=posts_strategy)
 def test_count_star_matches_len(users, posts):
     db = make_db(users, posts)
     count = parse_select("SELECT COUNT(*) FROM posts").run(db)
     assert count == len(posts)
+
+
+nullable_posts_strategy = st.lists(
+    st.tuples(
+        st.integers(0, 30), st.integers(0, 7), st.one_of(st.none(), st.integers(-5, 5))
+    ),
+    max_size=12,
+    unique_by=lambda t: t[0],
+)
+
+
+@settings(max_examples=examples(60))
+@given(users=users_strategy, posts=nullable_posts_strategy,
+       lo=st.integers(-5, 5), skip=st.integers(0, 20), eq=st.integers(-5, 5))
+def test_mixed_where_matches_reference(users, posts, lo, skip, eq):
+    """A driving-table conjunct (pushed into the driving select), a joined
+    table conjunct and a cross-alias OR, over NULL ranks and scores."""
+    db = make_db(users, posts)
+    sql = (
+        "SELECT p.id FROM posts p JOIN users u ON p.uid = u.id "
+        "WHERE p.rank > $R AND u.id != $I AND (rank = $Q OR u.score IS NULL)"
+    )
+    got = sorted(r["id"] for r in parse_select(sql).run(db, {"R": lo, "I": skip, "Q": eq}))
+    score_of = {pk: score for pk, score in users}
+    expected = sorted(
+        row["id"]
+        for row in db.table("posts").rows()
+        if row["uid"] is not None
+        and row["rank"] is not None
+        and row["rank"] > lo
+        and row["uid"] != skip
+        and (row["rank"] == eq or score_of[row["uid"]] is None)
+    )
+    assert got == expected
